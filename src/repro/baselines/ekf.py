@@ -90,9 +90,7 @@ class ExtendedKalmanFilter:
             out[K : K + 2] += p.h_s * x[K + 2 : K + 4]
             return out
 
-        Q = np.diag(
-            np.concatenate([np.full(K, p.sigma_theta**2), np.full(2, p.sigma_xy**2), np.full(2, p.sigma_v**2)])
-        )
+        Q = np.diag(model.process_sigma**2)
         R = np.diag(np.concatenate([np.full(K, p.sigma_theta_meas**2), np.full(2, p.sigma_camera**2)]))
         x0_cov = np.diag(
             np.concatenate(

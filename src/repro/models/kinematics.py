@@ -6,6 +6,13 @@ of equal length along the local x-axis (total arm length L). The camera frame
 is the end-effector frame; its optical axis is local x, so an observed object
 is reported by its local (y, z) coordinates — the "highly non-linear
 rotation-translation function h(x)" of the paper's measurement equation.
+
+All pitches turn about one local y axis, so the chain is the yaw theta_0 and
+one pitch by phi_i = theta_1 + ... + theta_i (phi_0 = 0): with e = (c0, s0, 0),
+link i points along cos(phi_i) e - sin(phi_i) z, the end effector sits at
+(r c0, r s0, -h) for r = sum L_i cos(phi_i) and h = sum L_i sin(phi_i), and an
+object at (o_x, o_y, 0) has camera coordinates y = c0 o_y - s0 o_x and
+z = sin(phi) (c0 o_x + s0 o_y - r) + cos(phi) h, where phi = phi_{K-1}.
 """
 
 from __future__ import annotations
@@ -39,6 +46,31 @@ def rot_y(theta: np.ndarray) -> np.ndarray:
     return out
 
 
+def joint_major(angles: np.ndarray) -> np.ndarray:
+    """``(..., K)`` angles as a C-contiguous ``(K, ...)`` copy, so elementwise work runs along rows."""
+    return np.array(np.moveaxis(np.asarray(angles), -1, 0), order="C")
+
+
+def _chain(theta: np.ndarray, link_lengths: np.ndarray):
+    """``(c0, s0, cos phi, sin phi, r, h)``: trig at the angles' dtype, link sums in float64."""
+    link_lengths = np.asarray(link_lengths, dtype=np.float64)
+    K = theta.shape[0]
+    if link_lengths.shape != (K,):
+        raise ValueError(f"need {K} link lengths, got shape {link_lengths.shape}")
+    phi = np.concatenate([theta[:1], np.zeros_like(theta[:1]), theta[1:]])  # theta_0, phi_0, ...
+    for i in range(3, K + 1):  # np.cumsum(axis=0) adds in this order, ~20x slower
+        phi[i] += phi[i - 1]
+    cos, sin = np.cos(phi), np.sin(phi)
+    r, h = np.tensordot(link_lengths, cos[1:], axes=1), np.tensordot(link_lengths, sin[1:], axes=1)
+    return cos[0], sin[0], cos[-1], sin[-1], r, h
+
+
+def camera_yz(theta: np.ndarray, link_lengths: np.ndarray, obj_x, obj_y):
+    """Camera ``(y, z)`` of the object at ``(obj_x, obj_y, 0)``; ``theta`` from :func:`joint_major`."""
+    c0, s0, c, s, r, h = _chain(theta, link_lengths)
+    return c0 * obj_y - s0 * obj_x, s * (c0 * obj_x + s0 * obj_y - r) + c * h
+
+
 def forward_kinematics(angles: np.ndarray, link_lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """End-effector pose for a batch of joint configurations.
 
@@ -55,30 +87,13 @@ def forward_kinematics(angles: np.ndarray, link_lengths: np.ndarray) -> tuple[np
         ``(..., 3)`` end-effector positions and ``(..., 3, 3)`` rotation
         matrices mapping camera-frame vectors into the world frame.
     """
-    angles = np.asarray(angles)
-    link_lengths = np.asarray(link_lengths, dtype=np.float64)
-    K = angles.shape[-1]
-    if link_lengths.shape != (K,):
-        raise ValueError(f"need {K} link lengths, got shape {link_lengths.shape}")
-
-    # Column arithmetic instead of batched 3x3 matmuls: a local pitch about y
-    # only mixes the x and z axis columns (col1 is invariant), so each joint
-    # costs two fused column combinations — ~5x less work per particle than
-    # composing full rotation matrices (this kernel dominates the filter's
-    # runtime at high state dimensions, Fig. 4c).
-    c0, s0 = np.cos(angles[..., 0]), np.sin(angles[..., 0])
-    zeros = np.zeros_like(c0)
-    ones = np.ones_like(c0)
-    col0 = np.stack([c0, s0, zeros], axis=-1)  # local x axis in world frame
-    col1 = np.stack([-s0, c0, zeros], axis=-1)  # local y axis
-    col2 = np.stack([zeros, zeros, ones], axis=-1)  # local z axis
-    p = col0 * link_lengths[0]
-    for i in range(1, K):
-        c = np.cos(angles[..., i])[..., None]
-        s = np.sin(angles[..., i])[..., None]
-        col0, col2 = c * col0 - s * col2, s * col0 + c * col2
-        p = p + col0 * link_lengths[i]
-    R = np.stack([col0, col1, col2], axis=-1)
+    c0, s0, c, s, r, h = _chain(joint_major(angles), link_lengths)
+    p = np.empty(np.shape(r) + (3,))
+    p[..., 0], p[..., 1], p[..., 2] = r * c0, r * s0, -h
+    R = np.empty(np.shape(c0) + (3, 3), dtype=np.result_type(c0, s0))
+    R[..., 0, 0], R[..., 1, 0], R[..., 2, 0] = c * c0, c * s0, -s
+    R[..., 0, 1], R[..., 1, 1], R[..., 2, 1] = -s0, c0, 0.0
+    R[..., 0, 2], R[..., 1, 2], R[..., 2, 2] = s * c0, s * s0, c
     return p, R
 
 
@@ -89,10 +104,6 @@ def camera_projection(angles: np.ndarray, link_lengths: np.ndarray, obj_xy: np.n
     with the batch shape of ``angles``. Returns ``(..., 2)`` camera-plane
     coordinates (the local y and z components of the camera->object ray).
     """
-    p, R = forward_kinematics(angles, link_lengths)
     obj_xy = np.asarray(obj_xy)
-    obj = np.concatenate([obj_xy, np.zeros(obj_xy.shape[:-1] + (1,), dtype=obj_xy.dtype)], axis=-1)
-    rel = obj - p
-    # R^T @ rel, batched: local coords of the object in the camera frame.
-    local = np.einsum("...ij,...i->...j", R, rel)
-    return local[..., 1:3]
+    y, z = camera_yz(joint_major(angles), link_lengths, obj_xy[..., 0], obj_xy[..., 1])
+    return np.concatenate([y[..., None], z[..., None]], axis=-1)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.models.base import GroundTruth, StateSpaceModel
-from repro.models.kinematics import camera_projection
+from repro.models.kinematics import camera_projection, camera_yz, joint_major
 from repro.prng.streams import FilterRNG
 from repro.utils.validation import check_positive_int
 
@@ -66,13 +66,13 @@ class RobotArmModel(StateSpaceModel):
     """N-joint arm + camera tracking model."""
 
     def __init__(self, params: RobotArmParams | None = None):
-        self.params = params or RobotArmParams()
-        K = self.params.n_joints
-        self.n_joints = K
+        p = self.params = params or RobotArmParams()
+        K = self.n_joints = p.n_joints
         self.state_dim = K + 4
         self.measurement_dim = K + 2  # K angle sensors + 2 camera coordinates
         self.control_dim = K
-        self.link_lengths = np.full(K, self.params.arm_length / K)
+        self.link_lengths = np.full(K, p.arm_length / K)
+        self.process_sigma = np.repeat([p.sigma_theta, p.sigma_xy, p.sigma_v], [K, 2, 2])
 
     # -- state layout helpers -------------------------------------------------
     def angles(self, states: np.ndarray) -> np.ndarray:
@@ -96,13 +96,7 @@ class RobotArmModel(StateSpaceModel):
     def initial_particles(self, n: int, rng: FilterRNG, dtype=np.float64) -> np.ndarray:
         p = self.params
         mean = self.initial_mean()
-        spread = np.concatenate(
-            [
-                np.full(self.n_joints, p.init_spread_theta),
-                np.full(2, p.init_spread_xy),
-                np.full(2, p.init_spread_v),
-            ]
-        )
+        spread = np.repeat([p.init_spread_theta, p.init_spread_xy, p.init_spread_v], [self.n_joints, 2, 2])
         noise = rng.normal((n, self.state_dim), dtype=np.float64)
         return (mean[None, :] + spread[None, :] * noise).astype(dtype, copy=False)
 
@@ -112,15 +106,13 @@ class RobotArmModel(StateSpaceModel):
         return mean
 
     def transition(self, states: np.ndarray, control: np.ndarray | None, k: int, rng: FilterRNG) -> np.ndarray:
-        p = self.params
+        h, K = self.params.h_s, self.n_joints
         states = np.asarray(states)
-        out = states.copy()
-        noise = rng.normal(states.shape, dtype=np.float64).astype(states.dtype, copy=False)
-        K = self.n_joints
-        u = np.zeros(K) if control is None else np.asarray(control)
-        out[..., :K] += p.h_s * u + p.sigma_theta * noise[..., :K]
-        out[..., K : K + 2] += p.h_s * states[..., K + 2 : K + 4] + p.sigma_xy * noise[..., K : K + 2]
-        out[..., K + 2 : K + 4] += p.sigma_v * noise[..., K + 2 : K + 4]
+        out = np.multiply(rng.normal(states.shape, dtype=np.float64), self.process_sigma, dtype=states.dtype)
+        out += states
+        if control is not None:
+            out[..., :K] += h * np.asarray(control)
+        out[..., K : K + 2] += h * states[..., K + 2 : K + 4]
         return out
 
     def measurement_mean(self, states: np.ndarray) -> np.ndarray:
@@ -130,25 +122,21 @@ class RobotArmModel(StateSpaceModel):
         return np.concatenate([self.angles(states), cam], axis=-1)
 
     def log_likelihood(self, states: np.ndarray, measurement: np.ndarray, k: int) -> np.ndarray:
-        p = self.params
-        z = np.asarray(measurement)
-        z_hat = self.measurement_mean(states)
-        K = self.n_joints
-        # Joint sensors are always available.
-        dth = z_hat[..., :K] - z[..., :K]
-        ll = -0.5 * np.sum(dth * dth, axis=-1) / p.sigma_theta_meas**2
-        cam_z = z[..., K:]
-        cam_hat = z_hat[..., K:]
-        if p.camera_fov is not None and np.isnan(cam_z).any():
+        p, K = self.params, self.n_joints
+        states = np.asarray(states)
+        z = np.asarray(measurement, dtype=np.float64)
+        theta = joint_major(self.angles(states))
+        dth = theta - z[:K].reshape((K,) + (1,) * (theta.ndim - 1))
+        ll = np.sum(dth * dth, axis=0) * (-0.5 / p.sigma_theta_meas**2)
+        y, zc = camera_yz(theta, self.link_lengths, states[..., K], states[..., K + 1])
+        if p.camera_fov is not None and np.isnan(z[K:]).any():
             # Censored camera: "no detection" is itself evidence. Particles
             # that also predict the object out of view are consistent;
             # particles predicting it in view should (almost) have seen it.
-            predicted_off = np.linalg.norm(cam_hat, axis=-1) > p.camera_fov
-            ll = ll + np.where(predicted_off, 0.0, np.log(p.miss_probability))
-        else:
-            dc = cam_hat - cam_z
-            ll = ll - 0.5 * np.sum(dc * dc, axis=-1) / p.sigma_camera**2
-        return ll
+            predicted_off = np.hypot(y, zc) > p.camera_fov
+            return ll + np.where(predicted_off, 0.0, np.log(p.miss_probability))
+        dy, dz = y - z[K], zc - z[K + 1]
+        return ll - (dy * dy + dz * dz) * (0.5 / p.sigma_camera**2)
 
     # -- simulation interface -----------------------------------------------
     def initial_state(self, rng: FilterRNG) -> np.ndarray:
@@ -160,8 +148,9 @@ class RobotArmModel(StateSpaceModel):
         noise = rng.normal(z.shape, dtype=np.float64)
         sigma = np.concatenate([np.full(self.n_joints, p.sigma_theta_meas), np.full(2, p.sigma_camera)])
         out = z + sigma * noise
-        if p.camera_fov is not None and np.linalg.norm(z[..., -2:]) > p.camera_fov:
-            out[..., -2:] = np.nan  # object out of view: no camera detection
+        if p.camera_fov is not None:  # object out of view: no camera detection
+            off = np.linalg.norm(z[..., -2:], axis=-1, keepdims=True) > p.camera_fov
+            out[..., -2:] = np.where(off, np.nan, out[..., -2:])
         return out
 
     # -- evaluation ------------------------------------------------------------

@@ -34,6 +34,21 @@ def test_out_of_view_object_censored():
     assert np.isfinite(z[:5]).all()  # joint sensors still report
 
 
+def test_batched_observe_censors_row_by_row():
+    # Row 0 yaws the arm towards the object on +y and sees it on the optical
+    # axis; rows 1 and 2 look along +x, with the object 3 m off to the side.
+    m = fov_model(fov=0.5)
+    states = np.tile(m.initial_mean(), (3, 1))
+    states[:, 5:7] = [0.0, 3.0]
+    states[0, 0] = np.pi / 2
+    z = m.observe(states, 0, make_rng("numpy", seed=6))
+    assert np.isfinite(z[0]).all()
+    assert np.isnan(z[1:, -2:]).all() and np.isfinite(z[1:, :-2]).all()
+    for row, state in zip(z, states):
+        single = m.observe(state, 0, make_rng("numpy", seed=7))
+        np.testing.assert_array_equal(np.isnan(single), np.isnan(row))
+
+
 def test_censored_likelihood_prefers_consistent_particles():
     m = fov_model(fov=0.3)
     truth = m.initial_mean()

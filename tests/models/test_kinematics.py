@@ -97,3 +97,36 @@ def test_camera_projection_depends_on_pose():
     c1 = camera_projection(np.zeros(3), links, obj)
     c2 = camera_projection(np.array([0.3, -0.2, 0.1]), links, obj)
     assert not np.allclose(c1, c2)
+
+
+def _reference_pose(angles, links):
+    """Float64 oracle: compose rot_z(theta_0) @ rot_y(theta_1) @ ... one joint
+    at a time, translating along each link's local x axis."""
+    angles = np.asarray(angles, dtype=np.float64)
+    R = rot_z(angles[..., 0])
+    p = R[..., :, 0] * links[0]
+    for i in range(1, angles.shape[-1]):
+        R = R @ rot_y(angles[..., i])
+        p = p + R[..., :, 0] * links[i]
+    return p, R
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+@pytest.mark.parametrize("shape", [(), (7,), (3, 4)])
+@pytest.mark.parametrize("K", [1, 2, 5, 44])
+def test_closed_form_matches_rotation_composition(K, shape, dtype, tol):
+    rng = np.random.default_rng(K)
+    angles = rng.uniform(-np.pi, np.pi, size=shape + (K,)).astype(dtype)
+    obj = rng.uniform(-2.0, 2.0, size=shape + (2,)).astype(dtype)
+    links = np.full(K, 1.0 / K)
+    p_ref, R_ref = _reference_pose(angles, links)
+    rel = np.concatenate([obj, np.zeros(shape + (1,))], axis=-1) - p_ref
+    cam_ref = np.einsum("...ij,...i->...j", R_ref, rel)[..., 1:]
+
+    p, R = forward_kinematics(angles, links)
+    assert p.shape == shape + (3,) and R.shape == shape + (3, 3)
+    np.testing.assert_allclose(p, p_ref, rtol=0, atol=tol)
+    np.testing.assert_allclose(R, R_ref, rtol=0, atol=tol)
+    cam = camera_projection(angles, links, obj)
+    assert cam.shape == shape + (2,)
+    np.testing.assert_allclose(cam, cam_ref, rtol=0, atol=tol)

@@ -62,6 +62,59 @@ def test_transition_preserves_batch_shape_and_dtype():
     assert y.shape == (4, 8, 9) and y.dtype == np.float32
 
 
+def _reference_transition(m, states, control, noise):
+    """Float64 transition written out per state block."""
+    p, K = m.params, m.n_joints
+    x = np.asarray(states, dtype=np.float64)
+    out = x.copy()
+    out[..., :K] += p.h_s * control + p.sigma_theta * noise[..., :K]
+    out[..., K : K + 2] += p.h_s * x[..., K + 2 : K + 4] + p.sigma_xy * noise[..., K : K + 2]
+    out[..., K + 2 :] += p.sigma_v * noise[..., K + 2 :]
+    return out
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-6)])
+def test_transition_draws_once_and_matches_reference(dtype, tol):
+    m = RobotArmModel()
+    states = (m.initial_mean() + np.random.default_rng(0).normal(size=(3, 4, 9))).astype(dtype)
+    u = m.control_at(5)
+    rng, twin = make_rng("numpy", seed=8), make_rng("numpy", seed=8)
+    y = m.transition(states, u, 5, rng)
+    noise = twin.normal(states.shape, dtype=np.float64)
+    # Exactly one normal(states.shape) draw: both generators are in step.
+    assert rng.state_dict() == twin.state_dict()
+    assert y.shape == states.shape and y.dtype == dtype
+    np.testing.assert_allclose(y, _reference_transition(m, states, u, noise), rtol=0, atol=tol)
+
+
+def _reference_log_likelihood(m, states, z):
+    """Float64 likelihood built from measurement_mean, as the model defines it."""
+    p, K = m.params, m.n_joints
+    z_hat = m.measurement_mean(np.asarray(states, dtype=np.float64))
+    ll = -0.5 * np.sum((z_hat[..., :K] - z[:K]) ** 2, axis=-1) / p.sigma_theta_meas**2
+    if np.isnan(z[K:]).any():
+        off = np.linalg.norm(z_hat[..., K:], axis=-1) > p.camera_fov
+        return ll + np.where(off, 0.0, np.log(p.miss_probability))
+    return ll - 0.5 * np.sum((z_hat[..., K:] - z[K:]) ** 2, axis=-1) / p.sigma_camera**2
+
+
+@pytest.mark.parametrize("censored", [False, True])
+@pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+def test_log_likelihood_matches_measurement_mean_reference(censored, dtype, rtol):
+    m = RobotArmModel(RobotArmParams(camera_fov=0.4 if censored else None))
+    rng = np.random.default_rng(1)
+    states = (m.initial_mean() + 0.3 * rng.normal(size=(16, 8, 9))).astype(dtype)
+    z = m.measurement_mean(m.initial_mean() + 0.1)
+    if censored:
+        z[-2:] = np.nan
+    ll = m.log_likelihood(states, z, 0)
+    ref = _reference_log_likelihood(m, states, z)
+    assert ll.shape == (16, 8) and ll.dtype == np.float64
+    if censored:  # both outcomes of the view test occur
+        assert len(np.unique(ref)) > 1
+    np.testing.assert_allclose(ll, ref, rtol=rtol, atol=rtol)
+
+
 def test_log_likelihood_peaks_at_truth():
     m = RobotArmModel()
     rng = make_rng("numpy", seed=4)
