@@ -129,7 +129,7 @@ from repro.resilience.retry import RetryPolicy
 from repro.resilience.supervisor import HeartbeatHook, Supervisor
 from repro.telemetry.tracer import Tracer, spans_from_wire, spans_to_wire
 from repro.topology import resolve_topology, shard_table_view
-from repro.utils.arrays import sanitize_log_weights
+from repro.utils.arrays import healthy_round, sanitize_log_weights
 from repro.utils.validation import check_positive_int
 
 
@@ -241,7 +241,8 @@ def _worker_loop(chan, model, config, ids, worker_id,
         if recv_states is not None and recv_states.shape[1] > 0:
             recv_logw = np.asarray(recv_logw, dtype=wdt).copy()
             # Corrupted incoming particles must never be selected.
-            sanitize_log_weights(recv_logw, recv_states)
+            if not healthy_round(recv_logw, recv_states):
+                sanitize_log_weights(recv_logw, recv_states)
             state.pooled_states = np.concatenate(
                 [state.states, recv_states.astype(state.states.dtype)], axis=1
             )
@@ -1416,8 +1417,7 @@ class MultiprocessDistributedParticleFilter:
         """
         start = time.perf_counter()
         share = share_from_logsumexp(lse)
-        for i, value in enumerate(ess):
-            self.tracer.gauge(f"alloc.ess.f{i}", value)
+        self.tracer.gauges("alloc.ess.f", ess.tolist())
         self.tracer.gauge("alloc.mass_hhi", mass_concentration(share))
         new_widths = self.alloc_policy.decide(self._widths, ess, share)
         changes = int((new_widths != self._widths).sum())

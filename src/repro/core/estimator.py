@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.utils.arrays import healthy_round
+
 
 def _finite_fallback(flat_states: np.ndarray) -> np.ndarray:
     """Unweighted mean over the particles whose state is fully finite.
@@ -41,6 +43,8 @@ def max_weight_estimate(states: np.ndarray, log_weights: np.ndarray) -> np.ndarr
     states = np.asarray(states)
     lw = np.asarray(log_weights, dtype=np.float64)
     flat_states = states.reshape(-1, states.shape[-1])
+    if healthy_round(lw, flat_states):  # every particle is usable
+        return flat_states[int(np.argmax(lw))].astype(np.float64)
     flat_lw = lw.reshape(-1).copy()
     usable = ~np.isnan(flat_lw) & np.isfinite(flat_states).all(axis=1)
     flat_lw[~usable] = -np.inf

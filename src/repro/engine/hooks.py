@@ -190,8 +190,7 @@ class AllocationTelemetryHook(StageHook):
                 self._seen[key] = int(total)
         ess = state.round_ess
         if ess is not None:
-            for i, value in enumerate(ess):
-                tracer.gauge(f"alloc.ess.f{i}", value)
+            tracer.gauges("alloc.ess.f", ess.tolist())
         share = state.round_mass_share
         if share is not None:
             from repro.allocation.metrics import mass_concentration

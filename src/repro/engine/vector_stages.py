@@ -21,6 +21,7 @@ from repro.engine.stage import ExecutionContext
 from repro.engine.state import FilterState
 from repro.utils.arrays import (
     degenerate_rows,
+    healthy_round,
     rescue_degenerate_rows,
     sanitize_log_weights,
 )
@@ -81,6 +82,8 @@ def heal_population(ctx: ExecutionContext, state: FilterState) -> None:
     a recovery primitive. Deterministic (no RNG draws), so a healthy run is
     bit-identical with healing on or off.
     """
+    if healthy_round(state.log_weights, state.states):
+        return  # nothing to mask and no row without a finite weight
     n_bad = sanitize_log_weights(state.log_weights, state.states)
     if n_bad:
         state.heal_counters["sanitized"] += n_bad
@@ -114,6 +117,8 @@ def heal_local(ctx: ExecutionContext, state: FilterState) -> None:
     weights; fresh neighbour particles arrive through the exchange boundary,
     completing the rejuvenation.
     """
+    if healthy_round(state.log_weights, state.states):
+        return
     state.heal_counters["sanitized"] += sanitize_log_weights(state.log_weights, state.states)
     rescued = rescue_degenerate_rows(state.log_weights, state.states)
     state.heal_counters["rejuvenated"] += rescued

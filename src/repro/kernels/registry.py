@@ -331,9 +331,18 @@ def weight_argsort_batch(log_weights: np.ndarray) -> np.ndarray:
     Functionally a descending bitonic sort per sub-filter; the stable
     tie-break is part of the engine's reproducibility contract (golden
     traces), which is why this — and not the bitonic network — is the
-    registered batch form of ``sort``.
+    registered batch form of ``sort``. Rows of distinct finite keys keep the
+    default (SIMD) argsort, as their only sorting order is the stable one.
     """
-    return np.argsort(-np.atleast_2d(log_weights), axis=1, kind="stable")
+    keys = -np.atleast_2d(log_weights)
+    if not np.isfinite(keys).all():
+        return keys.argsort(axis=1, kind="stable")
+    order = keys.argsort(axis=1)
+    ordered = np.sort(keys, axis=1)
+    redo = ~(ordered[:, 1:] > ordered[:, :-1]).all(axis=1)
+    if redo.any():
+        order[redo] = keys[redo].argsort(axis=1, kind="stable")
+    return order
 
 
 def _assert_bit_equal(expected: np.ndarray, got: np.ndarray, inputs: dict[str, Any]) -> None:

@@ -54,6 +54,7 @@ class ESSThresholdPolicy(ResamplingPolicy):
     row's padded/masked slots must not inflate the threshold. Comparing
     against the padded ``weights.shape[1]`` would make a shrunken sub-filter
     resample every round even when its live particles are perfectly diverse.
+    A row with no usable mass reads ESS 0 (as in ``subfilter_ess``): its pool revives it.
     """
 
     def __init__(self, ratio: float = 0.5):
@@ -65,7 +66,8 @@ class ESSThresholdPolicy(ResamplingPolicy):
                         widths: np.ndarray | None = None) -> np.ndarray:
         w = np.atleast_2d(weights)
         live = w.shape[1] if widths is None else np.asarray(widths, dtype=np.float64)
-        return effective_sample_size(w, axis=1) < self.ratio * live
+        massless = ~(np.isfinite(w) & (w > 0)).any(axis=1)
+        return massless | (effective_sample_size(w, axis=1) < self.ratio * live)
 
 
 class RandomFrequencyPolicy(ResamplingPolicy):

@@ -36,16 +36,16 @@ def rws_indices_batch(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
     if w.shape[0] != u.shape[0]:
         raise ValueError(f"row mismatch: weights {w.shape} vs uniforms {u.shape}")
     F, m = w.shape
-    c = np.cumsum(normalize_weights(w, axis=1), axis=1)
+    c = normalize_weights(w, axis=1)  # the one (F, m) buffer; the CDF is built in place
+    np.cumsum(c, axis=1, out=c)
     c[:, -1] = 1.0
     offsets = np.arange(F, dtype=np.float64)[:, None]
-    flat_cdf = (c + offsets).reshape(-1)
-    flat_u = (u + offsets).reshape(-1)
-    pos = np.searchsorted(flat_cdf, flat_u, side="right")
-    idx = (pos - np.repeat(np.arange(F) * m, u.shape[1])).astype(np.int64)
+    c += offsets
+    pos = np.searchsorted(c.reshape(-1), (u + offsets).reshape(-1), side="right")
+    idx = pos.reshape(F, -1) - np.arange(0, F * m, m).reshape(F, 1)
     # A uniform numerically equal to the row total can land one past the end.
     np.clip(idx, 0, m - 1, out=idx)
-    return idx.reshape(F, -1)
+    return idx.astype(np.int64, copy=False)
 
 
 class RouletteWheelResampler(Resampler):

@@ -35,7 +35,7 @@ from repro.core.estimator import _finite_fallback, weighted_mean_estimate
 from repro.engine import vector_stages
 from repro.engine.stage import ExecutionContext
 from repro.engine.state import FilterState
-from repro.utils.arrays import degenerate_rows
+from repro.utils.arrays import degenerate_rows, healthy_round
 
 
 @dataclass
@@ -66,6 +66,8 @@ def cohort_heal(ctx: CohortExecutionContext, state: FilterState) -> None:
     the heal counters are attributed to the owning session as well as the
     slab. Deterministic — no RNG draws — so healthy rounds are untouched.
     """
+    if healthy_round(state.log_weights, state.states):
+        return
     X = ctx.cohort_block_rows
     sessions = ctx.cohort_sessions
     lw = state.log_weights
@@ -124,8 +126,9 @@ def cohort_estimate(ctx: CohortExecutionContext, state: FilterState) -> None:
     flat_states = np.ascontiguousarray(state.states).reshape(R, X * m, d)
     if kind == "max_weight":
         lw = state.log_weights.astype(np.float64).reshape(R, X * m)
-        unusable = np.isnan(lw) | ~np.isfinite(flat_states).all(axis=2)
-        lw[unusable] = -np.inf
+        if not healthy_round(lw, flat_states):
+            unusable = np.isnan(lw) | ~np.isfinite(flat_states).all(axis=2)
+            lw[unusable] = -np.inf
         idx = lw.argmax(axis=1)
         vals = np.take_along_axis(lw, idx[:, None], axis=1)[:, 0]
         est = np.take_along_axis(

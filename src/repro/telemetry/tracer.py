@@ -115,6 +115,7 @@ class Tracer:
         self.tid = int(tid)
         self.spans: list[Span] = []
         self.counters: dict[str, float] = {}
+        self._gauge_keys: dict[tuple[str, int], list[str]] = {}
         self._stack: list[Span] = []
         self._exporters: list = []
         #: pid -> human label, used by exporters to name process tracks.
@@ -192,6 +193,13 @@ class Tracer:
         accumulation would be meaningless.
         """
         self.counters[name] = float(value)
+
+    def gauges(self, prefix: str, values) -> None:
+        """``gauge(f"{prefix}{i}", v)`` for each reading; key lists are cached."""
+        key = (prefix, len(values))
+        if key not in self._gauge_keys:
+            self._gauge_keys[key] = [f"{prefix}{i}" for i in range(len(values))]
+        self.counters.update(zip(self._gauge_keys[key], map(float, values)))
 
     # -- merging ---------------------------------------------------------------
     def merge(self, spans: list[Span], label: str | None = None) -> None:

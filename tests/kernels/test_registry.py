@@ -3,6 +3,7 @@ tests over every validatable kernel, and cost-model integration."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.device import validate
 from repro.device.costmodel import CostModel, filter_round_cost
@@ -95,6 +96,39 @@ class TestRegistryAPI:
 def test_weight_argsort_is_stable_descending():
     # The engine's golden traces depend on this exact tie-breaking order.
     lw = np.array([[0.5, 1.5, 0.5, -1.0]])
+    np.testing.assert_array_equal(
+        weight_argsort_batch(lw), np.argsort(-lw, axis=1, kind="stable"))
+
+
+def _sort_rows(rng, F, m, kinds):
+    lw = rng.normal(scale=5.0, size=(F, m))
+    for f, kind in enumerate(kinds[:F]):
+        if kind == "ties":
+            lw[f] = np.round(lw[f])
+        elif kind == "nan":
+            lw[f, rng.random(m) < 0.3] = np.nan
+        elif kind == "zeros":
+            lw[f, rng.random(m) < 0.5] = 0.0
+            lw[f, rng.random(m) < 0.5] = -0.0
+        elif kind == "padded":
+            lw[f, rng.integers(m):] = -np.inf
+    return lw
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    F=st.integers(min_value=1, max_value=70),
+    m=st.integers(min_value=1, max_value=70),
+    seed=st.integers(min_value=0, max_value=2**31),
+    kinds=st.lists(st.sampled_from(["distinct", "ties", "nan", "zeros", "padded"]),
+                   min_size=70, max_size=70),
+    dtype=st.sampled_from([np.float64, np.float32]),
+)
+def test_weight_argsort_matches_stable_argsort(F, m, seed, kinds, dtype):
+    # The fast sort must return the stable permutation on every row: rows
+    # of distinct keys through the uniqueness check, ties, NaN, +-0.0 and
+    # -inf padding through the stable re-sort.
+    lw = _sort_rows(np.random.default_rng(seed), F, m, kinds).astype(dtype)
     np.testing.assert_array_equal(
         weight_argsort_batch(lw), np.argsort(-lw, axis=1, kind="stable"))
 

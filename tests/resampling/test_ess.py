@@ -119,3 +119,37 @@ def test_random_frequency_validation():
         RandomFrequencyPolicy(frequency=-0.1)
     with pytest.raises(ValueError):
         RandomFrequencyPolicy(frequency=1.1)
+
+
+class TestESSThresholdMasslessRow:
+    """A row with no usable mass reads ESS 0 inside the policy, so it is
+    resampled from its pool instead of keeping zero finite weights."""
+
+    def test_massless_rows_resample(self):
+        w = np.ones((4, 8))
+        w[1] = 0.0
+        w[2] = np.nan
+        w[3, 0] = np.nan  # one unusable slot; the row still has mass
+        policy = ESSThresholdPolicy(ratio=0.5)
+        mask = policy.should_resample(w, make_rng("numpy", seed=0))
+        np.testing.assert_array_equal(mask, [False, True, True, False])
+        # The documented fallback of the plain metric is unchanged.
+        assert effective_sample_size(w[1]) == pytest.approx(8.0)
+
+    def test_dead_subfilter_revives_within_one_step(self):
+        from repro.core import DistributedFilterConfig, DistributedParticleFilter
+        from repro.models import LinearGaussianModel
+
+        model = LinearGaussianModel(A=[[0.9]], C=[[1.0]], Q=[[0.04]], R=[[0.01]])
+        config = DistributedFilterConfig(
+            n_particles=8, n_filters=6, topology="ring", n_exchange=1, seed=3,
+            self_heal=False, resample_policy="ess", resample_arg=0.5)
+        pf = DistributedParticleFilter(model, config)
+        truth = model.simulate(4, make_rng("numpy", seed=5))
+        pf.step(truth.measurements[0])
+        pf.log_weights[2] = -np.inf
+        with np.errstate(invalid="ignore"):  # the dead row's -inf - -inf shift
+            pf.step(truth.measurements[1])
+        assert np.isfinite(pf.log_weights[2]).all()
+        pf.step(truth.measurements[2])
+        assert np.isfinite(pf.log_weights).any(axis=1).all()

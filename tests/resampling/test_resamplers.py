@@ -16,6 +16,7 @@ from repro.resampling import (
     rws_indices,
     rws_indices_batch,
 )
+from repro.utils.arrays import normalize_weights
 
 ALL = [
     MultinomialResampler(),
@@ -132,3 +133,67 @@ def test_rws_batch_property(n_filters, m, seed):
     idx = rws_indices_batch(w, u)
     assert idx.shape == (n_filters, 2 * m)
     assert (idx >= 0).all() and (idx < m).all()
+
+
+def _normalize_oracle(w, axis=-1):
+    """The ``np.where`` form ``normalize_weights`` replaced, kept verbatim."""
+    w = np.asarray(w, dtype=np.float64)
+    total = w.sum(axis=axis, keepdims=True)
+    bad = ~np.isfinite(total) | (total <= 0)
+    n = w.shape[axis]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(bad, 1.0 / n, w / np.where(bad, 1.0, total))
+
+
+def _rws_flat_oracle(weights, u):
+    """The flat RWS formulation the in-place kernel replaced, kept verbatim
+    as a bitwise oracle: normalized CDF rows shifted into (r, r+1], one
+    flattened ``searchsorted``, ``np.repeat`` row bases."""
+    w = np.atleast_2d(np.asarray(weights, dtype=np.float64))
+    u = np.atleast_2d(np.asarray(u, dtype=np.float64))
+    F, m = w.shape
+    c = np.cumsum(_normalize_oracle(w, axis=1), axis=1)
+    c[:, -1] = 1.0
+    offsets = np.arange(F, dtype=np.float64)[:, None]
+    flat_cdf = (c + offsets).reshape(-1)
+    flat_u = (u + offsets).reshape(-1)
+    pos = np.searchsorted(flat_cdf, flat_u, side="right")
+    idx = (pos - np.repeat(np.arange(F) * m, u.shape[1])).astype(np.int64)
+    np.clip(idx, 0, m - 1, out=idx)
+    return idx.reshape(F, -1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_filters=st.integers(min_value=1, max_value=40),
+    m=st.integers(min_value=1, max_value=70),
+    k=st.integers(min_value=0, max_value=80),
+    seed=st.integers(min_value=0, max_value=2**31),
+    kinds=st.lists(st.sampled_from(["plain", "zero", "nan", "inf", "sparse"]),
+                   min_size=40, max_size=40),
+)
+def test_rws_batch_bitwise_matches_flat_oracle(n_filters, m, k, seed, kinds):
+    rng = np.random.default_rng(seed)
+    w = rng.random((n_filters, m)) ** 3
+    for f, kind in enumerate(kinds[:n_filters]):
+        if kind == "zero":
+            w[f] = 0.0
+        elif kind == "nan":
+            w[f, rng.integers(m)] = np.nan
+        elif kind == "inf":
+            w[f, rng.integers(m)] = np.inf
+        elif kind == "sparse":
+            w[f, rng.random(m) < 0.7] = 0.0
+    u = rng.random((n_filters, k))
+    u[rng.random((n_filters, k)) < 0.2] = np.nextafter(1.0, 0.0)
+    weights_before = w.copy()
+    got = rws_indices_batch(w, u)
+    want = _rws_flat_oracle(w, u)
+    assert got.dtype == want.dtype == np.int64
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(w, weights_before)  # input left untouched
+    # normalize_weights itself (the ESS policy's input) matches its oracle
+    # along either axis, bad rows included.
+    for axis in (0, 1, -1):
+        np.testing.assert_array_equal(normalize_weights(w, axis=axis),
+                                      _normalize_oracle(w, axis=axis))

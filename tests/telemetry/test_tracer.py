@@ -84,6 +84,15 @@ class TestSpanStack:
         tr.count("transport_fallbacks", 2)
         assert tr.counters == {"transport_fallbacks": 3.0}
 
+    def test_gauges_match_one_gauge_per_reading(self):
+        one, many = make_tracer(), make_tracer()
+        for values in ([1, 2.5, 3], [4.0, 5.0, 6.0], [7.0]):
+            for i, v in enumerate(values):
+                one.gauge(f"alloc.ess.f{i}", v)
+            many.gauges("alloc.ess.f", values)
+        assert many.counters == one.counters
+        assert all(type(v) is float for v in many.counters.values())
+
     def test_drain_detaches_and_clears(self):
         tr = make_tracer()
         tr.add("a", "stage", 0.0, 1.0)
