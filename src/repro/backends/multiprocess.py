@@ -8,7 +8,7 @@ worker process, and each round runs as
 
 1. master -> workers: measurement + control (*scatter*),
 2. workers: sample, weight, sort locally; reply with their sub-filters' top-t
-   particles and local-estimate partials (*gather*),
+   particles and, for a weighted mean, local-estimate partials (*gather*),
 3. master: routes exchanged particles along the global topology, reduces the
    global estimate,
 4. master -> workers: each block's incoming particles; workers pool and
@@ -103,6 +103,7 @@ from repro.engine import (
     TimerHook,
 )
 from repro.engine.vector_stages import LocalHealStage, ResampleStage, SampleWeightStage, SortStage
+from repro.engine.vector_stages import assemble_pool
 from repro.kernels.registry import CostParams, default_registry
 from repro.metrics.timing import PhaseTimer, TimingRNG
 from repro.models.base import StateSpaceModel
@@ -129,7 +130,7 @@ from repro.resilience.retry import RetryPolicy
 from repro.resilience.supervisor import HeartbeatHook, Supervisor
 from repro.telemetry.tracer import Tracer, spans_from_wire, spans_to_wire
 from repro.topology import resolve_topology, shard_table_view
-from repro.utils.arrays import healthy_round, sanitize_log_weights
+from repro.utils.arrays import healthy_round, sanitize_log_weights, take_into
 from repro.utils.validation import check_positive_int
 
 
@@ -210,6 +211,7 @@ def _worker_loop(chan, model, config, ids, worker_id,
         dtype=dtype,
         exec_policy=ExecutionPolicy.from_config(config.execution),
         dtype_policy=dtype_policy,
+        alloc_metrics=False,  # the master decides allocation from its own metrics
     )
     tracer = Tracer()
     heal_hook = HealMonitorHook(tracer=tracer)
@@ -239,14 +241,14 @@ def _worker_loop(chan, model, config, ids, worker_id,
         """Pool incoming particles, resample, reply with round telemetry."""
         nonlocal reported_errors
         if recv_states is not None and recv_states.shape[1] > 0:
-            recv_logw = np.asarray(recv_logw, dtype=wdt).copy()
-            # Corrupted incoming particles must never be selected.
-            if not healthy_round(recv_logw, recv_states):
-                sanitize_log_weights(recv_logw, recv_states)
-            state.pooled_states = np.concatenate(
-                [state.states, recv_states.astype(state.states.dtype)], axis=1
-            )
-            state.pooled_logw = np.concatenate([state.log_weights, recv_logw], axis=1)
+            with tracer.span("exchange", kernel="assemble_pool"):
+                state.pooled_states, state.pooled_logw = assemble_pool(
+                    state, recv_states, recv_logw)
+                # Corrupted incoming particles must never be selected:
+                # sanitize the pool's received slice in place.
+                rs, rw = state.pooled_states[:, m_cap:], state.pooled_logw[:, m_cap:]
+                if not healthy_round(rw, rs):
+                    sanitize_log_weights(rw, rs)
         else:
             state.pooled_states, state.pooled_logw = state.states, state.log_weights
         resample_pipeline.run_stages(ctx, state)
@@ -338,17 +340,21 @@ def _worker_loop(chan, model, config, ids, worker_id,
                     # independent of which other rows share the worker, so
                     # the master's reduction is shard-invariant. einsum
                     # accumulates each row sequentially over m — the same
-                    # bits under any partition.
-                    d_ = model.state_dim
-                    shift = logw.max(axis=1)
-                    safe = np.where(np.isfinite(shift), shift, 0.0)
-                    w = state.scratch("partial.w", logw.shape, np.float64)
-                    np.subtract(logw, safe[:, None], out=w)
-                    np.exp(w, out=w)
-                    partial = np.empty((F, d_ + 2), dtype=np.float64)
-                    partial[:, :d_] = np.einsum("fm,fmd->fd", w, states)
-                    partial[:, d_] = w.sum(axis=1)
-                    partial[:, d_ + 1] = shift
+                    # bits under any partition. Only the weighted mean reads
+                    # them; the max-weight estimate needs just column 0.
+                    partial = None
+                    if config.estimator == "weighted_mean":
+                        with tracer.span("estimate", kernel="estimate_partials"):
+                            d_ = model.state_dim
+                            shift = logw.max(axis=1)
+                            safe = np.where(np.isfinite(shift), shift, 0.0)
+                            w = state.scratch("partial.w", logw.shape, np.float64)
+                            np.subtract(logw, safe[:, None], out=w)
+                            np.exp(w, out=w)
+                            partial = np.empty((F, d_ + 2), dtype=np.float64)
+                            partial[:, :d_] = np.einsum("fm,fmd->fd", w, states)
+                            partial[:, d_] = w.sum(axis=1)
+                            partial[:, d_ + 1] = shift
                     alloc = None
                     if adaptive:
                         # Pre-resample allocation metrics: per-sub-filter ESS
@@ -1049,12 +1055,14 @@ class MultiprocessDistributedParticleFilter:
         best_states[...] = 0.0
         send_logw.fill(-np.inf)
         best_logw.fill(-np.inf)
-        # Per-sub-filter estimate partials, assembled by global id so the
-        # weighted-mean reduction sees the same (F, d+2) array no matter how
-        # the sub-filters shard over workers. Dead rows stay [0 | 0 | -inf].
-        partial = self._scratch("partials", (F, d + 2), np.float64)
-        partial[:, : d + 1] = 0.0
-        partial[:, d + 1] = -np.inf
+        # Per-sub-filter estimate partials (weighted mean only), assembled by
+        # global id so the reduction sees the same (F, d+2) array however the
+        # sub-filters shard over workers. Dead rows stay [0 | 0 | -inf].
+        partial = None
+        if cfg.estimator == "weighted_mean":
+            partial = self._scratch("partials", (F, d + 2), np.float64)
+            partial[:, : d + 1] = 0.0
+            partial[:, d + 1] = -np.inf
 
         # The routing table is FROZEN at round start: every block of this
         # round is routed with the same table no matter when its reply
@@ -1084,7 +1092,6 @@ class MultiprocessDistributedParticleFilter:
         arrived: set[int] = set()
         dispatched: set[int] = set()
         p2_sent: list[int] = []
-        any_partial = False
         pooled_route: tuple[np.ndarray, np.ndarray] | None = None
 
         # Adaptive allocation: global metric assembly for the end-of-round
@@ -1121,15 +1128,14 @@ class MultiprocessDistributedParticleFilter:
                     worker_id=w, step=self.k))
 
         def on_phase1(w: int, msg) -> None:
-            nonlocal any_partial
             r = self._chans[w].decode_phase1(msg, t)
             ids = self._owned(w)
             send_states[ids] = r[0]
             send_logw[ids] = r[1]
             best_states[ids] = r[2]
             best_logw[ids] = r[3]
-            partial[ids] = r[4]
-            any_partial = True
+            if partial is not None:
+                partial[ids] = r[4]
             self.report.merge_worker_stats(r[5])
             if adaptive and len(r) > 6 and r[6] is not None:
                 # Copy out immediately: shm hands back live slab views.
@@ -1159,7 +1165,7 @@ class MultiprocessDistributedParticleFilter:
                     worker_id=w, step=self.k))
         # ...then gather tops + estimate partials in arrival order.
         self._gather(self._live_workers(), what="phase1", handler=on_phase1)
-        if not any_partial:
+        if not arrived:
             raise NoLiveWorkersError("all worker blocks died during phase 1", step=self.k)
 
         # Global estimate reduction over the assembled per-filter partials
@@ -1289,8 +1295,8 @@ class MultiprocessDistributedParticleFilter:
             out_s = self._scratch(f"recv_states.{w}", (B, width, d), send_states.dtype)
             out_w = self._scratch(f"recv_logw.{w}", (B, width), send_logw.dtype)
         src = np.maximum(rows, 0)
-        np.take(send_states[:, :t], src, axis=0, out=out_s.reshape(B, D, t, d))
-        np.take(send_logw[:, :t], src, axis=0, out=out_w.reshape(B, D, t))
+        take_into(send_states[:, :t], src, out_s.reshape(B, D, t, d), axis=0)
+        take_into(send_logw[:, :t], src, out_w.reshape(B, D, t), axis=0)
         out_w.reshape(B, D, t)[~rmask] = -np.inf
         elapsed = time.perf_counter() - start
         self.kernel_seconds["route_pairwise"] = (
@@ -1373,12 +1379,12 @@ class MultiprocessDistributedParticleFilter:
         return out
 
     def _reduce_estimate(self, best_states: np.ndarray, best_logw: np.ndarray,
-                         partial: np.ndarray) -> np.ndarray:
+                         partial: np.ndarray | None) -> np.ndarray:
         """Reduction over the global per-filter partials, NaN-safe.
 
         ``partial`` is the assembled ``(F, d+2)`` array of per-sub-filter
-        ``[Σ w·x | Σ w | row shift]`` rows. Because the array is keyed by
-        global filter id, it is identical no matter how the sub-filters
+        ``[Σ w·x | Σ w | row shift]`` rows (``None`` under ``max_weight``).
+        Keyed by global filter id, it is identical however the sub-filters
         were sharded over workers — which makes the weighted-mean estimate
         (like the max-weight one) shard-invariant to the bit. Dead or fully
         degenerate rows carry ``-inf`` shifts and scale to exactly zero.

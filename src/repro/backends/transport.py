@@ -2,11 +2,11 @@
 
 Every filtering round moves the same four payloads between the master and a
 worker block: the scattered measurement/control, the gathered top-t send
-buffers + per-block estimate partials, and the routed incoming particles for
-the local resample. :class:`PipeTransport` moves all of them as pickles over
-``multiprocessing`` pipes — simple, but every round pays serialization and
-pipe-buffer copies proportional to the payload. :class:`SharedMemoryTransport`
-keeps the payloads in preallocated, double-buffered
+buffers + per-block estimate partials (weighted mean only), and the routed
+incoming particles for the local resample. :class:`PipeTransport` moves all
+of them as pickles over ``multiprocessing`` pipes — simple, but every round
+pays serialization and pipe-buffer copies proportional to the payload.
+:class:`SharedMemoryTransport` keeps the payloads in preallocated, double-buffered
 :class:`multiprocessing.shared_memory.SharedMemory` slabs that the worker
 inherits over ``fork``; the pipes then carry only tiny control headers
 (round counter, exchange width, slab sequence number), so the per-round
@@ -259,8 +259,9 @@ class PipeMasterChannel:
     def decode_phase1(self, msg, t: int):
         """The 7-tuple ``(send_states, send_logw, best_states, best_logw,
         partial, heal_stats, alloc)`` — already inline for the pipe
-        transport. ``alloc`` is ``None`` (fixed allocation) or the block's
-        ``(ess, mass_lse)`` metric vectors."""
+        transport. ``partial`` is ``None`` unless the estimator is the
+        weighted mean; ``alloc`` is ``None`` (fixed allocation) or the
+        block's ``(ess, mass_lse)`` metric vectors."""
         return msg
 
     # -- phase 2 -------------------------------------------------------------
@@ -448,10 +449,10 @@ class ShmMasterChannel:
             raise RuntimeError(
                 f"shm protocol: stale slab ack (seq {seq} != {self._seq})")
         v = self._views[k & 1]
-        # The metric views are handed out unconditionally; the master reads
-        # them only under adaptive allocation (when the worker wrote them).
+        # The partial / metric views are handed out unconditionally; the master
+        # reads (copies) them only under the weighted mean / adaptive allocation.
         return (v["send_states"], v["send_logw"], v["best_states"],
-                v["best_logw"], v["partial"].copy(), heal_stats,
+                v["best_logw"], v["partial"], heal_stats,
                 (v["ess"], v["mass_lse"]))
 
     # -- phase 2 -------------------------------------------------------------
@@ -586,7 +587,8 @@ class ShmWorkerChannel:
         v["send_logw"][...] = send_logw
         v["best_states"][...] = best_states
         v["best_logw"][...] = best_logw
-        v["partial"][...] = partial
+        if partial is not None:
+            v["partial"][...] = partial
         if alloc is not None:
             v["ess"][...] = alloc[0]
             v["mass_lse"][...] = alloc[1]

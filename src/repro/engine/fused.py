@@ -108,7 +108,9 @@ class _FusedPlan:
     Built on the first fused round (and whenever the shape, dtypes,
     exchange width or routing table change — the ``key`` comparison), then
     reused every round: the steady-state fused body touches no allocator
-    and no scratch-pool dictionary.
+    and no scratch-pool dictionary. Its ``.take`` gathers run unbuffered
+    (``mode="clip"``): every index is in range by construction, except the
+    neighbour table's, which is range-checked here once.
     """
 
     __slots__ = (
@@ -153,6 +155,8 @@ class _FusedPlan:
             self.all_valid = True
         else:
             self.src = np.maximum(table, 0)
+            if self.src.size and self.src.max() >= F:
+                raise IndexError(f"neighbour table entry out of range [0, {F})")
             self.all_valid = bool(mask.all())
             width = table.shape[1] * t
         self.width = width
@@ -240,7 +244,7 @@ def fused_step_batch(ctx: ExecutionContext, state: FilterState) -> bool:
     if plan.logw_obj is not logw:
         plan.logw_obj = logw
         logw_flat = plan.logw_flat = logw.reshape(-1)
-    logw_flat.take(plan.flat, out=sorted_logw)
+    logw_flat.take(plan.flat, out=sorted_logw, mode="clip")
 
     # -- estimate: rows are sorted descending, so each row's best particle
     #    sits in column 0 and the global max-weight winner is the argmax of
@@ -269,15 +273,15 @@ def fused_step_batch(ctx: ExecutionContext, state: FilterState) -> bool:
         pooled_logw = sorted_logw
         ext_flat = order.reshape(-1)
     else:
-        states.reshape(F * m, d).take(plan.sel_flat, axis=0, out=plan.send_states)
+        states.reshape(F * m, d).take(plan.sel_flat, axis=0, out=plan.send_states, mode="clip")
         if plan.pooled:
             recv_states, recv_logw = route_pooled(plan.send_states, plan.send_logw,
                                                   plan.t)
             np.copyto(plan.recv_states, recv_states)
             np.copyto(plan.recv_logw, recv_logw)
         else:
-            plan.send_states.take(plan.src, axis=0, out=plan.recv_states4)
-            plan.send_logw.take(plan.src, axis=0, out=plan.recv_logw3)
+            plan.send_states.take(plan.src, axis=0, out=plan.recv_states4, mode="clip")
+            plan.send_logw.take(plan.src, axis=0, out=plan.recv_logw3, mode="clip")
             if not plan.all_valid:
                 plan.recv_logw3[~ctx.mask] = -np.inf
         pool_m = plan.pool_m
@@ -310,7 +314,7 @@ def fused_step_batch(ctx: ExecutionContext, state: FilterState) -> bool:
     pos = plan.w_flat.searchsorted(u.reshape(-1), side="right").reshape(F, m)
     np.minimum(pos, plan.hi, out=pos)  # the RWS end-of-row clip, folded
     np.maximum(pos, plan.lo, out=pos)  # into per-row flat bounds
-    ext_flat.take(pos, out=plan.mapped)
+    ext_flat.take(pos, out=plan.mapped, mode="clip")
     np.add(plan.mapped, plan.lo, out=plan.mapped)
     new_states = plan.spare
     if new_states is states or new_states.shape != states.shape \
@@ -320,7 +324,7 @@ def fused_step_batch(ctx: ExecutionContext, state: FilterState) -> bool:
         new_states = np.empty_like(states)
     if not pooled_src.flags.c_contiguous:
         pooled_src = np.ascontiguousarray(pooled_src)
-    pooled_src.reshape(F * pool_m, d).take(plan.mapped, axis=0, out=new_states)
+    pooled_src.reshape(F * pool_m, d).take(plan.mapped, axis=0, out=new_states, mode="clip")
     plan.spare = states
     state.states = new_states
     logw.fill(0.0)

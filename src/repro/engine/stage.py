@@ -83,6 +83,9 @@ class ExecutionContext:
     #: ``None`` means the historical mixed behaviour (state at ``dtype``,
     #: float64 weights and reductions).
     dtype_policy: object = None
+    #: resampling stashes pre-resample ESS / mass share for the allocation
+    #: stage and telemetry hook; workers, which run neither, turn this off.
+    alloc_metrics: bool = True
 
     def __post_init__(self):
         self._form_cache: dict[str, object] = {}

@@ -24,6 +24,7 @@ from repro.utils.arrays import (
     healthy_round,
     rescue_degenerate_rows,
     sanitize_log_weights,
+    take_into,
 )
 
 
@@ -145,11 +146,9 @@ def sort_by_weight(ctx: ExecutionContext, state: FilterState) -> None:
     flat = state.scratch("sort.flat", (F, m), np.intp)
     np.add(order, np.arange(F, dtype=np.intp).reshape(F, 1) * m, out=flat, casting="unsafe")
     new_logw = state.scratch("sort.logw", (F, m), state.log_weights.dtype)
-    np.take(state.log_weights.reshape(-1), flat, out=new_logw)
+    take_into(state.log_weights.reshape(-1), flat, new_logw)
     new_states = state.scratch("sort.states", (F, m, d), state.states.dtype)
-    np.take(
-        np.ascontiguousarray(state.states).reshape(F * m, d), flat, axis=0, out=new_states
-    )
+    take_into(np.ascontiguousarray(state.states).reshape(F * m, d), flat, new_states, axis=0)
     # Ping-pong: the old live arrays become next round's scratch, so the
     # gather above never reads and writes the same buffer.
     state.recycle("sort.logw", state.log_weights)
@@ -211,8 +210,15 @@ def exchange_pool(ctx: ExecutionContext, state: FilterState) -> tuple[np.ndarray
             out_logw=state.scratch("exch.recv_logw", (F, width), send_logw.dtype),
         )
 
-    # Pool = [own | received], assembled in reusable buffers instead of a
-    # fresh np.concatenate pair every round.
+    return assemble_pool(state, recv_states, recv_logw)
+
+
+def assemble_pool(state: FilterState, recv_states: np.ndarray,
+                  recv_logw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pool = [own | received] in reusable buffers at the live dtypes (the
+    assignment casts the received particles)."""
+    F, m = state.log_weights.shape
+    d = state.states.shape[-1]
     width = recv_logw.shape[1]
     pooled_states = state.scratch("exch.pooled_states", (F, m + width, d), state.states.dtype)
     pooled_states[:, :m] = state.states
@@ -260,7 +266,8 @@ def resample(ctx: ExecutionContext, state: FilterState) -> None:
     local_peak = state.log_weights.max(axis=1, keepdims=True)
     np.subtract(state.log_weights, local_peak, out=local_w)
     np.exp(local_w, out=local_w)
-    _capture_alloc_metrics(state, local_w, local_peak)
+    if ctx.alloc_metrics:
+        _capture_alloc_metrics(state, local_w, local_peak)
     mask = ctx.policy.should_resample(local_w, ctx.rng, widths=state.widths)
     state.resampled_mask = mask
     if not mask.any():
@@ -292,10 +299,7 @@ def resample(ctx: ExecutionContext, state: FilterState) -> None:
             casting="unsafe",
         )
         new_states = state.scratch("res.states", (F, m, d), state.states.dtype)
-        np.take(
-            np.ascontiguousarray(pooled_states).reshape(F * pool_m, d), flat, axis=0,
-            out=new_states,
-        )
+        take_into(np.ascontiguousarray(pooled_states).reshape(F * pool_m, d), flat, new_states, axis=0)
         if cfg.roughening > 0.0:
             new_states = roughen(new_states)
         state.recycle("res.states", state.states)

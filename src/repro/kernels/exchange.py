@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.utils.arrays import take_into
+
 _NEG_INF = -np.inf
 
 
@@ -69,8 +71,8 @@ def route_pairwise(
         raise ValueError("out buffers must be (F, D*t, d) / (F, D*t)")
     if not (out_states.flags.c_contiguous and out_logw.flags.c_contiguous):
         raise ValueError("out buffers must be C-contiguous")
-    np.take(send_states, src, axis=0, out=out_states.reshape(F, D, t, d))
-    np.take(send_logw, src, axis=0, out=out_logw.reshape(F, D, t))
+    take_into(send_states, src, out_states.reshape(F, D, t, d), axis=0)
+    take_into(send_logw, src, out_logw.reshape(F, D, t), axis=0)
     out_logw.reshape(F, D, t)[~mask] = _NEG_INF
     return out_states, out_logw
 

@@ -20,6 +20,15 @@ from repro.prng.xorshift import XorShift128Plus
 from repro.utils.validation import check_positive_int
 
 
+def _narrow_uniform(u: np.ndarray, dtype) -> np.ndarray:
+    """Cast float64 uniforms on [0, 1) to *dtype*; values that round up to 1
+    (float32: any >= 1 - 2**-25) clamp to the largest float below 1."""
+    out = u.astype(dtype, copy=False)
+    if out is not u:  # float64 draws stay bit for bit
+        np.minimum(out, np.nextafter(out.dtype.type(1), out.dtype.type(0)), out=out)
+    return out
+
+
 class FilterRNG(abc.ABC):
     """Interface for the randomness consumed by a particle filter."""
 
@@ -78,7 +87,7 @@ class PhiloxRNG(FilterRNG):
             return np.empty(shape, dtype=dtype)
         out = self._philox.uniform(self._counter, n, stream=self._stream, dtype=np.float64)
         self._counter += (n + 3) // 4
-        return out.reshape(shape).astype(dtype, copy=False)
+        return _narrow_uniform(out.reshape(shape), dtype)
 
     def spawn(self, stream: int) -> "PhiloxRNG":
         # Streams are separated in the key lanes, so any (seed, stream) pair
@@ -115,7 +124,7 @@ class XorShiftRNG(FilterRNG):
             return np.empty(shape, dtype=dtype)
         steps = math.ceil(n / self._n_lanes)
         vals = self._bank.uniform(steps, dtype=np.float64).reshape(-1)[:n]
-        return vals.reshape(shape).astype(dtype, copy=False)
+        return _narrow_uniform(vals.reshape(shape), dtype)
 
     def spawn(self, stream: int) -> "XorShiftRNG":
         return XorShiftRNG(self._seed, self._n_lanes, stream=self._stream * 0x10001 + stream + 1)
@@ -147,7 +156,9 @@ class NumpyRNG(FilterRNG):
         self._gen = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
 
     def uniform(self, shape, dtype=np.float64) -> np.ndarray:
-        return self._gen.random(size=shape).astype(dtype, copy=False)
+        u = self._gen.random(size=shape)
+        # The resampler draws float64 per row on every round: skip the call.
+        return u if dtype is np.float64 else _narrow_uniform(u, dtype)
 
     def normal(self, shape, dtype=np.float64) -> np.ndarray:
         return self._gen.standard_normal(size=shape).astype(dtype, copy=False)

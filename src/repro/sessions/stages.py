@@ -35,7 +35,7 @@ from repro.core.estimator import _finite_fallback, weighted_mean_estimate
 from repro.engine import vector_stages
 from repro.engine.stage import ExecutionContext
 from repro.engine.state import FilterState
-from repro.utils.arrays import degenerate_rows, healthy_round
+from repro.utils.arrays import degenerate_rows, healthy_round, take_into
 
 
 @dataclass
@@ -211,10 +211,7 @@ def cohort_resample(ctx: CohortExecutionContext, state: FilterState) -> None:
             casting="unsafe",
         )
         new_states = state.scratch("res.states", (F, m, d), state.states.dtype)
-        np.take(
-            np.ascontiguousarray(pooled_states).reshape(F * pool_m, d), flat, axis=0,
-            out=new_states,
-        )
+        take_into(np.ascontiguousarray(pooled_states).reshape(F * pool_m, d), flat, new_states, axis=0)
         state.recycle("res.states", state.states)
         state.states = new_states
         state.log_weights.fill(0.0)

@@ -17,6 +17,17 @@ def next_power_of_two(n: int) -> int:
     return 1 << (int(n) - 1).bit_length()
 
 
+def take_into(src: np.ndarray, idx: np.ndarray, out: np.ndarray,
+              axis: int | None = None) -> np.ndarray:
+    """``np.take(..., out=out)`` unbuffered: a min and a max check that every
+    index is in ``[0, n)`` (``IndexError`` otherwise, *out* untouched), then a
+    ``mode="clip"`` gather writes *out* directly (``mode="raise"`` buffers)."""
+    n = src.size if axis is None else src.shape[axis]
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise IndexError(f"gather index out of range [0, {n})")
+    return np.take(src, idx, axis=axis, out=out, mode="clip")
+
+
 def healthy_round(log_weights: np.ndarray, states: np.ndarray | None = None) -> bool:
     """True when healing and the estimators' usability masks have nothing to do:
     no NaN or ``+inf`` weight, a finite weight per row (``-inf`` padding is fine)

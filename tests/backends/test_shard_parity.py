@@ -45,46 +45,62 @@ def run(config, meas, n_workers, transport="pipe", **kw):
     return ests, states, logw, widths, diag
 
 
-def assert_bitwise(a, b):
-    np.testing.assert_array_equal(a[0], b[0])  # estimates
-    np.testing.assert_array_equal(a[1], b[1])  # states
-    np.testing.assert_array_equal(a[2], b[2])  # log-weights
+def assert_bitwise(a, b, where=""):
+    np.testing.assert_array_equal(a[0], b[0], err_msg=where)  # estimates
+    np.testing.assert_array_equal(a[1], b[1], err_msg=where)  # states
+    np.testing.assert_array_equal(a[2], b[2], err_msg=where)  # log-weights
     if a[3] is not None or b[3] is not None:
-        np.testing.assert_array_equal(a[3], b[3])  # widths
+        np.testing.assert_array_equal(a[3], b[3], err_msg=where)  # widths
+
+
+#: The invariance tests run under both estimators: the weighted mean reduces
+#: per-filter partials the workers ship, the max-weight estimate ships none.
+ESTIMATORS = ("weighted_mean", "max_weight")
 
 
 class TestShardInvariance:
     def test_two_shard_tcp_matches_single_process_golden(self):
         meas = lg_model().simulate(12, make_rng("numpy", seed=1)).measurements
-        golden = run(cfg(), meas, n_workers=1)
-        tcp = run(cfg(), meas, n_workers=2, transport="tcp")
-        assert_bitwise(golden, tcp)
-        # The cut-only exchange actually engaged and metered its traffic.
-        assert tcp[4]["shard"]["exchange_on"]
-        assert tcp[4]["shard"]["cut_bytes"] > 0
-        assert tcp[4]["transport_bytes"]["sent"] > 0
+        for est in ESTIMATORS:
+            golden = run(cfg(estimator=est), meas, n_workers=1)
+            two = {tr: run(cfg(estimator=est), meas, n_workers=2, transport=tr)
+                   for tr in ("tcp", "shm")}
+            for tr, result in two.items():
+                assert_bitwise(golden, result, f"{est}/{tr}")
+            # The cut-only exchange actually engaged and metered its traffic.
+            tcp = two["tcp"]
+            assert tcp[4]["shard"]["exchange_on"]
+            assert tcp[4]["shard"]["cut_bytes"] > 0
+            assert tcp[4]["transport_bytes"]["sent"] > 0
 
     def test_worker_count_is_invisible_at_filter_granularity(self):
         meas = lg_model().simulate(10, make_rng("numpy", seed=2)).measurements
-        runs = [run(cfg(), meas, n_workers=w) for w in (1, 2, 4, 8)]
-        for other in runs[1:]:
-            assert_bitwise(runs[0], other)
+        for est in ESTIMATORS:
+            golden = run(cfg(estimator=est), meas, n_workers=1)
+            for transport in ("pipe", "shm"):
+                for w in (2, 4, 8):
+                    other = run(cfg(estimator=est), meas, n_workers=w,
+                                transport=transport)
+                    assert_bitwise(golden, other, f"{est}/{transport}/{w} workers")
 
     def test_shard_exchange_on_equals_off_on_pipe(self):
         meas = lg_model().simulate(10, make_rng("numpy", seed=3)).measurements
-        off = run(cfg(), meas, n_workers=2, shard_exchange="off")
-        on = run(cfg(), meas, n_workers=2, shard_exchange="on")
-        assert_bitwise(off, on)
-        assert not off[4]["shard"]["exchange_on"]
-        assert on[4]["shard"]["cut_particles"] > 0
+        for est in ESTIMATORS:
+            off = run(cfg(estimator=est), meas, n_workers=2, shard_exchange="off")
+            on = run(cfg(estimator=est), meas, n_workers=2, shard_exchange="on")
+            assert_bitwise(off, on, est)
+            assert not off[4]["shard"]["exchange_on"]
+            assert on[4]["shard"]["cut_particles"] > 0
 
     def test_adaptive_allocation_shards_bitwise(self):
         meas = lg_model().simulate(12, make_rng("numpy", seed=4)).measurements
-        config = cfg(allocation="ess", n_particles=32)
-        golden = run(config, meas, n_workers=1)
-        tcp = run(config, meas, n_workers=2, transport="tcp")
-        assert_bitwise(golden, tcp)
-        assert tcp[3] is not None  # widths actually in play
+        for est in ESTIMATORS:
+            config = cfg(allocation="ess", n_particles=32, estimator=est)
+            golden = run(config, meas, n_workers=1)
+            for transport in ("tcp", "shm"):
+                two = run(config, meas, n_workers=2, transport=transport)
+                assert_bitwise(golden, two, f"{est}/{transport}")
+                assert two[3] is not None  # widths actually in play
 
     def test_cut_bytes_scale_with_cut_not_particles(self):
         meas = lg_model().simulate(6, make_rng("numpy", seed=5)).measurements

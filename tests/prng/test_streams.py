@@ -48,6 +48,49 @@ class TestFilterRNGContract:
         rng = make_rng(kind, seed=5)
         assert rng.uniform((0,)).shape == (0,)
 
+    def test_narrowed_uniform_never_rounds_up_to_one(self, kind, monkeypatch):
+        # 1 - 2**-30 is a valid float64 draw, but rounds to 1.0 in float32.
+        rng = make_rng(kind, seed=5)
+        _stub_float64_source(rng, monkeypatch)
+        u32 = rng.uniform((3, 4), dtype=np.float32)
+        assert u32.dtype == np.float32 and (u32 < 1).all()
+        assert (u32 == np.nextafter(np.float32(1), np.float32(0))).all()
+        # float64 draws are returned bit for bit.
+        assert (rng.uniform((3, 4)) == NEAR_ONE).all()
+
+    def test_cohort_striping_keeps_narrowed_uniforms_below_one(self, kind, monkeypatch):
+        from repro.sessions.rng import CohortRNG
+
+        gens = [make_rng(kind, seed=s) for s in (1, 2)]
+        for g in gens:
+            _stub_float64_source(g, monkeypatch)
+        cohort = CohortRNG()
+        cohort.bind(gens, block_rows=2)
+        u32 = cohort.uniform((4, 5), dtype=np.float32)
+        assert (u32 < 1).all()
+
+
+NEAR_ONE = 1.0 - 2.0 ** -30
+
+
+def _stub_float64_source(rng, monkeypatch):
+    """Make *rng*'s underlying float64 generator return only ``NEAR_ONE``."""
+    if isinstance(rng, NumpyRNG):
+        class _Gen:
+            def random(self, size):
+                return np.full(size, NEAR_ONE)
+
+        monkeypatch.setattr(rng, "_gen", _Gen())
+    elif isinstance(rng, PhiloxRNG):
+        monkeypatch.setattr(rng._philox, "uniform",
+                            lambda start, n, stream=0, dtype=np.float64:
+                            np.full(n, NEAR_ONE))
+    else:
+        assert isinstance(rng, XorShiftRNG)
+        monkeypatch.setattr(rng._bank, "uniform",
+                            lambda n_steps=1, dtype=np.float64:
+                            np.full((n_steps, rng._n_lanes), NEAR_ONE))
+
 
 def test_make_rng_unknown_kind():
     with pytest.raises(ValueError, match="unknown rng kind"):
