@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-kernels bench-sessions bench-shard report examples all clean
+.PHONY: install test bench report examples all clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -12,15 +12,6 @@ test:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-bench-kernels:
-	$(PYTHON) -m repro.cli bench kernels -o BENCH_kernels.json
-
-bench-sessions:
-	$(PYTHON) -m repro.cli bench sessions -o BENCH_sessions.json
-
-bench-shard:
-	$(PYTHON) -m repro.cli bench shard -o BENCH_shard.json
 
 report:
 	$(PYTHON) -m repro.cli report -o report.md

@@ -9,23 +9,6 @@ from repro.models import RobotArmModel, lemniscate, simulate_arm_tracking
 from repro.prng import make_rng
 
 
-def resolve_grid(grids: dict, grid):
-    """Resolve a benchmark grid argument against a table of named grids.
-
-    ``grid`` is either a name in *grids* or an explicit list of config
-    tuples. An unknown name raises :class:`ValueError` listing the valid
-    choices — the CLI turns that into a clean non-zero exit instead of the
-    bare ``KeyError`` traceback a direct ``grids[grid]`` lookup would give.
-    """
-    if isinstance(grid, str):
-        try:
-            return grids[grid]
-        except KeyError:
-            raise ValueError(
-                f"unknown grid {grid!r}; choose from {sorted(grids)}") from None
-    return [tuple(c) if isinstance(c, (list, tuple)) else c for c in grid]
-
-
 def format_table(rows: list[dict], floatfmt: str = "{:.4g}") -> str:
     """Render a list of row dicts as an aligned text table."""
     if not rows:

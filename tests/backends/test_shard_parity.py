@@ -21,6 +21,7 @@ from repro.models import LinearGaussianModel
 from repro.prng import make_rng
 from repro.resilience import FaultPlan
 from repro.resilience.checkpoint import CheckpointError
+from repro.topology import make_shard_plan, resolve_topology
 
 
 def lg_model():
@@ -111,6 +112,15 @@ class TestShardInvariance:
         assert small[4]["shard"]["cut_bytes"] == big[4]["shard"]["cut_bytes"]
         # Twice the boundaries -> strictly more wire bytes.
         assert wide[4]["shard"]["cut_bytes"] > small[4]["shard"]["cut_bytes"]
+        # Every round moves exactly the bytes the plan predicts from the cut.
+        for result, n_filters, n_workers in ((small, 8, 2), (big, 8, 2),
+                                             (wide, 16, 4)):
+            plan = make_shard_plan(resolve_topology("ring", n_filters), n_workers)
+            per_round = plan.cut_bytes_per_round(
+                cfg().n_exchange, lg_model().state_dim,
+                state_itemsize=result[1].dtype.itemsize,
+                weight_itemsize=result[2].dtype.itemsize)
+            assert result[4]["shard"]["cut_bytes"] == per_round * len(meas)
 
 
 class TestRebalanceChaosParity:

@@ -9,6 +9,7 @@ from repro.core.parameters import DistributedFilterConfig
 from repro.engine.fused import fused_envelope_ok, fused_pipeline_applicable
 from repro.models.base import StateSpaceModel
 from repro.prng.streams import make_rng
+from tests.speed import best_block_seconds
 
 
 class ScalarAR1(StateSpaceModel):
@@ -140,3 +141,54 @@ class TestDegenerateFallback:
         assert np.array_equal(ref.log_weights, fus.log_weights)
         assert fus.heal_counters == ref.heal_counters
         assert sum(fus.heal_counters.values()) > 0
+
+
+#: Accuracy budget for float32 states: the compiled/float32 estimate
+#: trajectory's RMSE against the simulated truth may exceed the
+#: reference/float64 one's by this factor, plus an absolute floor for
+#: near-zero RMSEs. A per-step bound would be meaningless under the
+#: max_weight estimator: a float32 rounding difference can flip which
+#: particle wins the argmax, moving the estimate by the particle spread
+#: while tracking accuracy is unchanged.
+FLOAT32_RMSE_BUDGET = 1.25
+FLOAT32_RMSE_FLOOR = 0.05
+
+
+def ar1_filter(n_filters, execution, dtype_policy):
+    """The paper-default round (ring, t=1) at m=8: the fused form's envelope."""
+    return DistributedParticleFilter(ScalarAR1(), DistributedFilterConfig(
+        n_filters=n_filters, n_particles=8, topology="ring", n_exchange=1,
+        seed=42, execution=execution, dtype_policy=dtype_policy))
+
+
+class TestFloat32Accuracy:
+    @pytest.mark.parametrize("n_filters", [8, 16])
+    def test_float32_rmse_within_budget_of_float64(self, n_filters):
+        truth = ScalarAR1().simulate(60, rng=make_rng("numpy", 7))
+
+        def rmse(execution, dtype_policy):
+            pf = ar1_filter(n_filters, execution, dtype_policy)
+            est = np.array([pf.step(z) for z in truth.measurements])
+            return float(np.sqrt(((est[:, 0] - truth.states[:, 0]) ** 2).mean()))
+
+        rmse64 = rmse("reference", "float64")
+        rmse32 = rmse("compiled", "float32")
+        assert rmse32 <= rmse64 * FLOAT32_RMSE_BUDGET + FLOAT32_RMSE_FLOOR
+
+
+class TestSpeedDirection:
+    @pytest.mark.parametrize("n_filters", [8, 16])
+    def test_compiled_float32_beats_reference_float64(self, n_filters):
+        # At these interpreter-bound shapes the fused round runs several
+        # times faster; the bound is only the direction.
+        meas = ScalarAR1().simulate(70, rng=make_rng("numpy", 7)).measurements
+        legs = {
+            "reference": ar1_filter(n_filters, "reference", "float64"),
+            "compiled": ar1_filter(n_filters, "compiled", "float32"),
+        }
+        assert legs["compiled"].pipeline.stage_names == ("fused",)
+        best = best_block_seconds(
+            {name: (lambda k, pf=pf: pf.step(meas[k])) for name, pf in legs.items()},
+            warmup=10, block=20)
+        ratio = best["reference"] / best["compiled"]
+        assert ratio > 1.0, f"compiled/float32 ran {ratio:.2f}x reference/float64"

@@ -1,7 +1,8 @@
 """Stage hooks: observation without participation."""
 
+import cProfile
 import dataclasses
-import time
+import pstats
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.core import DistributedFilterConfig, DistributedParticleFilter
 from repro.engine import STAGE_NAMES, RecordingHook, StageHook, TimerHook
 from repro.models import LinearGaussianModel
 from repro.prng import make_rng
+from tests.speed import best_block_seconds
 
 
 def _model():
@@ -118,17 +120,43 @@ class TestHookOverhead:
         cfg = _cfg(n_particles=256, n_filters=16)
         truth = model.simulate(30, make_rng("numpy", seed=5))
 
-        def timed(n_hooks):
+        def stepper(n_hooks):
             pf = DistributedParticleFilter(model, cfg)
             pf.pipeline.hooks = [StageHook() for _ in range(n_hooks)]
             pf.initialize()
-            begin = time.perf_counter()
-            for k in range(30):
-                pf.step(truth.measurements[k])
-            return time.perf_counter() - begin
+            return lambda k: pf.step(truth.measurements[k])
 
-        timed(0)  # warm caches
-        bare = min(timed(0) for _ in range(3))
-        hooked = min(timed(4) for _ in range(3))
+        best = best_block_seconds({"bare": stepper(0), "hooked": stepper(4)},
+                                  warmup=3, block=9)
         # Generous CI margin; locally the overhead is well under 5%.
-        assert hooked <= bare * 1.5
+        assert best["hooked"] <= best["bare"] * 1.5
+
+    def test_disabled_tracer_adds_few_calls_and_no_spans(self):
+        """The default hooks hold the filter's tracer, disabled until someone
+        traces. Carrying it may cost at most 5% more Python function calls
+        per round than hooks without a tracer, and must record nothing.
+        Calls, not seconds: the count repeats exactly from run to run, while
+        a 5% wall-time bound drowns in a shared host's noise."""
+        model = _model()
+        truth = model.simulate(30, make_rng("numpy", seed=5))
+
+        def profiled(detach):
+            pf = DistributedParticleFilter(model, _cfg(n_particles=256, n_filters=16))
+            traced = [h for h in pf.pipeline.hooks if hasattr(h, "tracer")]
+            assert traced and all(h.tracer is pf.tracer for h in traced)
+            if detach:
+                for hook in traced:
+                    hook.tracer = None
+            pf.initialize()
+            pf.step(truth.measurements[0])  # first round: lazy setup
+            prof = cProfile.Profile()
+            for z in truth.measurements[1:]:
+                prof.runcall(pf.step, z)
+            return pstats.Stats(prof).total_calls, pf
+
+        attached, pf = profiled(detach=False)
+        detached, _ = profiled(detach=True)
+        assert not pf.tracer.enabled
+        assert len(pf.tracer.spans) == 0
+        assert attached <= detached * 1.05, (
+            f"a disabled tracer adds {attached / detached - 1:+.2%} calls per round")

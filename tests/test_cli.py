@@ -85,15 +85,6 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["bench", "fig99"])
 
-    @pytest.mark.parametrize("figure", ["multiprocess", "kernels", "sessions"])
-    def test_bench_rejects_unknown_grid(self, figure, capsys):
-        # A clean diagnostic and exit code, not a KeyError traceback.
-        rc = main(["bench", figure, "--grid", "not-a-grid"])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "unknown grid 'not-a-grid'" in err
-        assert "smoke" in err  # the message lists the valid choices
-
     def test_report_to_file(self, tmp_path, capsys, monkeypatch):
         # Patch the heavy runners for a fast structural check of the report.
         import repro.bench.report as report
@@ -126,95 +117,42 @@ class TestCLI:
             assert heading in text
 
 
-class TestBenchMultiprocessCLI:
-    @staticmethod
-    def fake_report(speedup=2.0, parity=True):
-        return {
-            "benchmark": "multiprocess-transport", "grid": "smoke",
-            "rows": [{
-                "n_filters": 16, "m": 16, "n_workers": 2, "total_particles": 256,
-                "vectorized_steps_per_s": 100.0, "pipe_steps_per_s": 10.0,
-                "shm_steps_per_s": 10.0 * speedup,
-                "identical_estimates": parity, "shm_speedup_vs_pipe": speedup,
-            }],
-            "summary": {
-                "largest_config": {"n_filters": 16, "m": 16, "n_workers": 2},
-                "shm_speedup_vs_pipe": speedup, "identical_estimates": parity,
-            },
-        }
-
-    def patch(self, monkeypatch, **kw):
-        import repro.bench.perf as perf
-
-        monkeypatch.setattr(perf, "run_multiprocess_bench",
-                            lambda **kwargs: self.fake_report(**kw))
-
-    def test_writes_report_and_asserts_speedup(self, tmp_path, capsys, monkeypatch):
-        self.patch(monkeypatch, speedup=1.8)
-        out_path = tmp_path / "bench.json"
-        rc = main(["bench", "multiprocess", "--grid", "smoke",
-                   "-o", str(out_path), "--assert-speedup", "1.5"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "shm/pipe 1.80x" in out and "parity=ok" in out
-        assert json.loads(out_path.read_text())["summary"]["shm_speedup_vs_pipe"] == 1.8
-
-    def test_fails_below_required_speedup(self, capsys, monkeypatch):
-        self.patch(monkeypatch, speedup=1.1)
-        rc = main(["bench", "multiprocess", "--assert-speedup", "1.5"])
-        assert rc == 1
-        assert "FAIL" in capsys.readouterr().err
-
-    def test_fails_on_parity_mismatch(self, capsys, monkeypatch):
-        self.patch(monkeypatch, parity=False)
-        rc = main(["bench", "multiprocess"])
-        assert rc == 1
-        assert "disagreed" in capsys.readouterr().err
+def _exit_status(argv):
+    """main()'s status, whether it returns it or the parser raises it."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
-class TestBenchSessionsCLI:
-    def fake_report(self, speedup=6.0):
-        row = {
-            "sessions": 64, "m": 32, "execution": "reference",
-            "total_particles": 2048,
-            "naive_steps_per_s": 4000.0,
-            "cohort_steps_per_s": 4000.0 * speedup,
-            "speedup": speedup,
-            "latency_p50_s": 0.001, "latency_p99_s": 0.002,
-            "parity_sessions": 8, "parity_ok": True,
-        }
-        return {
-            "benchmark": "sessions", "grid": "smoke", "steps": 25, "warmup": 3,
-            "metadata": {}, "rows": [row],
-            "summary": {
-                "best_speedup": speedup,
-                "best_config": {"sessions": 64, "m": 32,
-                                "execution": "reference"},
-                "largest_sessions": 64, "largest_speedup": speedup,
-            },
-        }
+class TestBadArguments:
+    @pytest.mark.parametrize("argv, flag", [
+        (["bench", "allocation", "--seeds", "0"], "--seeds"),
+        (["bench", "allocation", "--seeds", "-1"], "--seeds"),
+        (["run", "--steps", "0"], "--steps"),
+        (["kernels", "--particles", "0"], "--particles"),
+        (["track", "--filters", "0"], "--filters"),
+    ], ids=["bench-seeds-0", "bench-seeds-negative", "run-steps-0",
+            "kernels-particles-0", "track-filters-0"])
+    def test_exits_2_with_one_error_line(self, argv, flag, capsys):
+        assert _exit_status(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and flag in errors[0]
 
-    def patch(self, monkeypatch, **kw):
-        import repro.bench.sessions as sessions
+    def test_resume_past_the_last_step_is_an_error(self, tmp_path, capsys):
+        ckpt = str(tmp_path / "run.ckpt")
+        assert main(["run", "--steps", "4", "--checkpoint", ckpt]) == 0
+        capsys.readouterr()
+        assert main(["run", "--steps", "4", "--resume", ckpt]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--steps" in err
 
-        monkeypatch.setattr(sessions, "run_sessions_bench",
-                            lambda **kwargs: self.fake_report(**kw))
-
-    def test_writes_report_and_asserts_speedup(self, tmp_path, capsys, monkeypatch):
-        self.patch(monkeypatch, speedup=6.0)
-        out_path = tmp_path / "sessions.json"
-        rc = main(["bench", "sessions", "--grid", "smoke",
-                   "-o", str(out_path), "--assert-speedup", "5.0"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "speedup   6.00x" in out and "parity=ok" in out
-        assert json.loads(out_path.read_text())["summary"]["largest_speedup"] == 6.0
-
-    def test_fails_below_required_speedup(self, capsys, monkeypatch):
-        self.patch(monkeypatch, speedup=1.2)
-        rc = main(["bench", "sessions", "--assert-speedup", "5.0"])
-        assert rc == 1
-        assert "FAIL" in capsys.readouterr().err
+    def test_unknown_transport_is_an_error(self, capsys):
+        assert main(["chaos", "--transport", "carrier-pigeon"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown transport") and "pipe" in err
 
 
 class TestRunCLI:
