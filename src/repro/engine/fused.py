@@ -12,9 +12,10 @@ resample sequence fused into one kernel body that
   materializing the sorted ``(F, m, d)`` state array;
 - reads the global max-weight estimate off the sorted rows' leading column
   instead of re-scanning the full population;
-- inlines the roulette-wheel resampler (normalize → prefix sum → one
-  flattened binary search) with the end-of-row clip folded into the flat
-  gather bounds;
+- inlines the roulette-wheel resampler's normalize → prefix sum into the
+  pool buffers and searches the row-shifted CDF with the same
+  :func:`~repro.resampling.rws.search_shifted_cdf` the reference resampler
+  uses, with the end-of-row clip folded into the flat gather bounds;
 - preallocates every buffer, index table and array view in a per-shape
   :class:`_FusedPlan`, so the steady-state round is a straight line of
   ``out=``-form ufunc and ``.take`` calls with no wrappers, no allocation
@@ -50,6 +51,7 @@ from repro.engine.state import FilterState
 from repro.engine import vector_stages
 from repro.kernels.exchange import route_pooled
 from repro.metrics.timing import TimingRNG
+from repro.resampling.rws import search_shifted_cdf
 
 __all__ = [
     "FusedStepStage",
@@ -118,7 +120,7 @@ class _FusedPlan:
         "sel_flat", "send_states", "send_logw", "recv_states", "recv_logw",
         "recv_states4", "recv_logw3", "pool_states", "pool_own", "pool_recv",
         "pool_logw", "pool_logw_own", "pool_logw_recv", "ext", "ext_own",
-        "ext_flat", "w", "w_flat", "w_last", "row_max", "total",
+        "ext_flat", "w", "w_last", "row_max", "total",
         "mapped", "spare",
         "off_m", "off_f", "lo", "hi", "src", "all_valid", "pooled",
         "t", "width", "pool_m",
@@ -183,7 +185,6 @@ class _FusedPlan:
             self.ext[:, m:] = np.arange(m, pool_m, dtype=np.intp)
             self.ext_flat = self.ext.reshape(-1)
         self.w = np.empty((F, pool_m), dtype=np.float64)
-        self.w_flat = self.w.reshape(-1)
         self.w_last = self.w[:, -1]
         self.lo = (np.arange(F, dtype=np.intp) * pool_m).reshape(F, 1)
         self.hi = self.lo + (pool_m - 1)
@@ -297,8 +298,8 @@ def fused_step_batch(ctx: ExecutionContext, state: FilterState) -> bool:
     # -- resample ("always" policy): every row draws m ancestors from its
     #    pooled weighted set via the inlined RWS kernel. Operation-for-
     #    operation the reference path (float64 reduce regardless of the
-    #    carried weight dtype; normalize → prefix sum → row-shifted flat
-    #    binary search → clip), so the RNG consumption and the ancestor
+    #    carried weight dtype; normalize → prefix sum → row-shifted search
+    #    → clip), so the RNG consumption and the ancestor
     #    indices are bit-identical. ----------------------------------------
     w = plan.w
     row_max = pooled_logw.max(axis=1, keepdims=True, out=plan.row_max)
@@ -311,7 +312,7 @@ def fused_step_batch(ctx: ExecutionContext, state: FilterState) -> bool:
     np.add(w, plan.off_f, out=w)  # row r's CDF shifted into (r, r+1]
     u = rng.uniform((F, m))
     np.add(u, plan.off_f, out=u)
-    pos = plan.w_flat.searchsorted(u.reshape(-1), side="right").reshape(F, m)
+    pos = search_shifted_cdf(w, u)
     np.minimum(pos, plan.hi, out=pos)  # the RWS end-of-row clip, folded
     np.maximum(pos, plan.lo, out=pos)  # into per-row flat bounds
     ext_flat.take(pos, out=plan.mapped, mode="clip")

@@ -6,9 +6,12 @@ that as a standalone, array-shaped transform.
 
 from __future__ import annotations
 
+from statistics import NormalDist
+
 import numpy as np
 
 _TINY = np.finfo(np.float64).tiny
+_STANDARD_NORMAL = NormalDist()
 
 
 def box_muller_pairs(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -30,22 +33,16 @@ def box_muller_pairs(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.nda
 def box_muller(uniforms: np.ndarray) -> np.ndarray:
     """Transform a flat array of uniforms into the same number of normals.
 
-    Consumes uniforms pairwise; for odd lengths the final value reuses the
-    sine branch of the last full pair's radius with a fresh angle drawn from
-    the leftover uniform, keeping the output length equal to the input length.
+    Consumes uniforms pairwise (first half as radii, second half as angles).
+    An odd length leaves one uniform without a partner; it maps through the
+    inverse normal CDF instead, so every output is an independent standard
+    normal and the output length equals the input length. Draw an even count
+    to stay on the pairwise transform (:meth:`FilterRNG.normal` does).
     """
     u = np.asarray(uniforms, dtype=np.float64).reshape(-1)
-    if u.size == 0:
-        return np.empty(0, dtype=np.float64)
-    if u.size == 1:
-        # A single uniform cannot make an exact normal via Box-Muller; pair it
-        # with a fixed companion. Only used for degenerate 1-sample requests.
-        z0, _ = box_muller_pairs(u, np.asarray([0.25]))
-        return z0
     half = u.size // 2
     z0, z1 = box_muller_pairs(u[:half], u[half : 2 * half])
-    out = np.concatenate([z0, z1])
-    if u.size % 2:
-        extra, _ = box_muller_pairs(u[-1:], u[:1])
-        out = np.concatenate([out, extra])
-    return out
+    if u.size % 2 == 0:
+        return np.concatenate([z0, z1])
+    tail = _STANDARD_NORMAL.inv_cdf(min(max(float(u[-1]), _TINY), 1.0 - 2.0 ** -53))
+    return np.concatenate([z0, z1, [tail]])

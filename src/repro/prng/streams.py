@@ -37,12 +37,16 @@ class FilterRNG(abc.ABC):
         """Array of the given shape, uniform on [0, 1)."""
 
     def normal(self, shape, dtype=np.float64) -> np.ndarray:
-        """Array of the given shape, standard normal (Box-Muller default)."""
+        """Array of the given shape, standard normal (Box-Muller default).
+
+        Draws ``2 * ceil(n / 2)`` uniforms so every normal comes from a full
+        Box-Muller pair; an odd request drops the surplus normal.
+        """
         n = int(np.prod(shape)) if np.ndim(shape) else int(shape)
         if n == 0:
             return np.empty(shape, dtype=dtype)
-        u = self.uniform((n,), dtype=np.float64)
-        return box_muller(u).reshape(shape).astype(dtype, copy=False)
+        u = self.uniform((n + n % 2,), dtype=np.float64)
+        return box_muller(u)[:n].reshape(shape).astype(dtype, copy=False)
 
     @abc.abstractmethod
     def spawn(self, stream: int) -> "FilterRNG":
@@ -176,6 +180,59 @@ class NumpyRNG(FilterRNG):
         self._seed = int(d["seed"])
         self._stream = int(d["stream"])
         self._gen.bit_generator.state = d["bit_generator"]
+
+
+class _RowStripe:
+    """Generator stand-in that fills each stream's row block in place.
+
+    Stream ``j`` owns rows ``[lo_j, hi_j)`` of every draw and fills them
+    with its own ``Generator`` through ``out=``: the same values, in the
+    same stream order, as a ``(hi_j - lo_j,) + tail`` draw of that stream,
+    but with no per-stream allocation, copy or Python-level RNG call.
+    """
+
+    __slots__ = ("_blocks",)
+
+    def __init__(self, blocks):
+        self._blocks = blocks  # (np.random.Generator, lo, hi) in row order
+
+    def random(self, size):
+        out = np.empty(size)
+        for gen, lo, hi in self._blocks:
+            gen.random(out=out[lo:hi])
+        return out
+
+    def standard_normal(self, size):
+        out = np.empty(size)
+        for gen, lo, hi in self._blocks:
+            gen.standard_normal(out=out[lo:hi])
+        return out
+
+
+class _StripedNumpyRNG(NumpyRNG):
+    """A :class:`NumpyRNG` over a :class:`_RowStripe`.
+
+    ``uniform``/``normal`` are inherited, so a striped draw is one
+    ``NumpyRNG`` draw: its dtype cast and uniform narrowing run once over
+    the whole array (both are elementwise), and anything that wraps those
+    two methods sees one call per batch.
+    """
+
+    def __init__(self, stripe: _RowStripe):
+        self._gen = stripe
+
+
+def stripe_numpy_rows(segments) -> NumpyRNG | None:
+    """One :class:`NumpyRNG` drawing every ``(stream, n_rows)`` segment's
+    rows in place, in row order; ``None`` unless every stream is a plain
+    :class:`NumpyRNG` over a NumPy ``Generator``."""
+    blocks, lo = [], 0
+    for rng, n in segments:
+        if type(rng) is not NumpyRNG or not isinstance(rng._gen, np.random.Generator):
+            return None
+        blocks.append((rng._gen, lo, lo + n))
+        lo += n
+    return _StripedNumpyRNG(_RowStripe(blocks))
 
 
 _RNG_KINDS = {"philox": PhiloxRNG, "xorshift": XorShiftRNG, "numpy": NumpyRNG}

@@ -17,6 +17,12 @@ Two scoping modes cover the round's non-default draw patterns:
 - :meth:`delegating` forwards draws verbatim to one session's generator
   (the allocation migration path loops a single session's rows and draws
   flat ``(n,)`` vectors, just like the solo code path does).
+
+When every striped stream is a :class:`~repro.prng.streams.NumpyRNG`, a
+batched draw is one ``NumpyRNG`` draw whose generator fills each stream's
+row block in place (:func:`~repro.prng.streams.stripe_numpy_rows`), built
+once per binding or scope rather than per draw; other streams are drawn
+one segment at a time and stitched.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from repro.prng.streams import FilterRNG
+from repro.prng.streams import FilterRNG, stripe_numpy_rows
 
 
 class CohortStripeError(RuntimeError):
@@ -46,6 +52,8 @@ class CohortRNG(FilterRNG):
         self._block_rows = 1
         #: active segments as (generator, n_rows) pairs, in row order.
         self._segments: list[tuple[FilterRNG, int]] = []
+        self._rows = 0
+        self._stripe: FilterRNG | None = None
         self._delegate: FilterRNG | None = None
 
     # -- binding ------------------------------------------------------------
@@ -57,7 +65,12 @@ class CohortRNG(FilterRNG):
         """
         self._gens = list(gens)
         self._block_rows = int(block_rows)
-        self._segments = [(g, self._block_rows) for g in self._gens]
+        self._set_segments([(g, self._block_rows) for g in self._gens])
+
+    def _set_segments(self, segments) -> None:
+        self._segments = segments
+        self._rows = sum(n for _, n in segments)
+        self._stripe = stripe_numpy_rows(segments)
 
     @contextmanager
     def scoped_rows(self, rows: np.ndarray):
@@ -70,13 +83,13 @@ class CohortRNG(FilterRNG):
         """
         rows = np.asarray(rows)
         counts = np.bincount(rows // self._block_rows, minlength=len(self._gens))
-        saved = self._segments
-        self._segments = [(self._gens[b], int(n))
-                          for b, n in enumerate(counts) if n]
+        saved = self._segments, self._rows, self._stripe
+        self._set_segments([(self._gens[b], int(n))
+                            for b, n in enumerate(counts) if n])
         try:
             yield self
         finally:
-            self._segments = saved
+            self._segments, self._rows, self._stripe = saved
 
     @contextmanager
     def delegating(self, block: int):
@@ -110,12 +123,13 @@ class CohortRNG(FilterRNG):
                 f"cohort draw of shape {shape!r} has no leading rows "
                 f"dimension; the model/kernel is not cohort-batchable"
             ) from None
-        total = sum(n for _, n in self._segments)
-        if lead != total:
+        if lead != self._rows:
             raise CohortStripeError(
                 f"cohort draw of shape {shape!r} does not match the "
-                f"{total} striped rows; the model/kernel is not "
+                f"{self._rows} striped rows; the model/kernel is not "
                 f"cohort-batchable")
+        if self._stripe is not None:
+            return getattr(self._stripe, method)(shape, dtype=dtype)
         tail = tuple(shape[1:])
         out = np.empty(shape, dtype=np.dtype(dtype))
         ofs = 0

@@ -53,3 +53,14 @@ def test_flat_transform_finite_for_any_length(n):
     z = box_muller(u)
     assert z.shape == (n,)
     assert np.isfinite(z).all()
+
+
+def test_odd_tail_is_independent_of_the_other_uniforms():
+    # The unpaired last uniform maps through the inverse normal CDF: it
+    # reuses no other uniform, and a median uniform gives exactly 0.
+    u = np.random.default_rng(3).random(7)
+    tail = box_muller(u)[-1]
+    u[:-1] = np.random.default_rng(4).random(6)
+    assert box_muller(u)[-1] == tail
+    assert box_muller(np.array([0.5]))[0] == 0.0
+    assert np.isfinite(box_muller(np.array([0.0]))).all()

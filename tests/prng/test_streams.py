@@ -48,6 +48,19 @@ class TestFilterRNGContract:
         rng = make_rng(kind, seed=5)
         assert rng.uniform((0,)).shape == (0,)
 
+    def test_one_sample_normals_are_standard_normal(self, kind):
+        # A scalar model draws one normal per step; each must be a full
+        # N(0, 1) draw, not a lone uniform paired with a fixed angle.
+        rng = make_rng(kind, seed=13)
+        z = np.array([rng.normal((1,))[0] for _ in range(2_000)])
+        assert abs(z.mean()) < 0.1
+        assert 0.85 < z.var() < 1.15
+
+    def test_odd_normal_request_is_even_request_minus_surplus(self, kind):
+        odd = make_rng(kind, seed=17).normal((3, 5))
+        even = make_rng(kind, seed=17).normal((16,))
+        np.testing.assert_array_equal(odd.reshape(-1), even[:15])
+
     def test_narrowed_uniform_never_rounds_up_to_one(self, kind, monkeypatch):
         # 1 - 2**-30 is a valid float64 draw, but rounds to 1.0 in float32.
         rng = make_rng(kind, seed=5)

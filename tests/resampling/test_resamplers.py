@@ -16,7 +16,9 @@ from repro.resampling import (
     rws_indices,
     rws_indices_batch,
 )
+from repro.resampling.rws import ROW_SEARCH_MIN_DRAWS, search_shifted_cdf
 from repro.utils.arrays import normalize_weights
+from tests.speed import best_block_seconds
 
 ALL = [
     MultinomialResampler(),
@@ -163,6 +165,48 @@ def _rws_flat_oracle(weights, u):
     return idx.reshape(F, -1)
 
 
+def _row_search(weights, u):
+    """Row-local indices from :func:`search_shifted_cdf` with no crossover,
+    on the shifted CDF and keys ``rws_indices_batch`` builds."""
+    F, m = weights.shape
+    c = np.cumsum(_normalize_oracle(weights, axis=1), axis=1)
+    c[:, -1] = 1.0
+    offsets = np.arange(F, dtype=np.float64)[:, None]
+    c += offsets
+    pos = search_shifted_cdf(c, u + offsets, min_draws=0)
+    return np.clip(pos - np.arange(F)[:, None] * m, 0, m - 1)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 64, 66, 96])
+def test_row_search_matches_flat_oracle_across_pool_sizes(m):
+    # Pool sizes that are and are not powers of two, a one-particle pool,
+    # zero-weight runs, and the extreme uniforms 0 and one ulp below 1.
+    rng = np.random.default_rng(m)
+    w = rng.random((40, m)) ** 2
+    w[::3, ::2] = 0.0
+    u = rng.random((40, 64))
+    u[:, :4] = 0.0
+    u[:, 4:8] = np.nextafter(1.0, 0.0)
+    want = _rws_flat_oracle(w, u)
+    np.testing.assert_array_equal(_row_search(w, u), want)
+    np.testing.assert_array_equal(rws_indices_batch(w, u), want)
+
+
+def test_row_search_takes_the_flat_search_where_the_cdf_drops():
+    # Row 1's prefix sum rounds above 1.0 before its last (zero-weight)
+    # column, so its keys one ulp below 1 have two upper bounds in the
+    # flat CDF; the flat search picks one by its probe history, and the
+    # row search must return the same.
+    w = np.array([[0.266878075672634, 0.36342646203797385, 0.03989158388312517, 0.0, 0.0],
+                  [0.06668708876770282, 0.19906725894402133, 0.1733196652099375,
+                   0.01657663617785579, 0.0]])
+    near_one = np.nextafter(1.0, 0.0)
+    u = np.array([[0.4661739945286675, near_one, 0.8975541965943097], [near_one] * 3])
+    want = _rws_flat_oracle(w, u)
+    assert want[1].tolist() == [3, 4, 4]  # the same key, two answers
+    np.testing.assert_array_equal(_row_search(w, u), want)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     n_filters=st.integers(min_value=1, max_value=40),
@@ -186,14 +230,57 @@ def test_rws_batch_bitwise_matches_flat_oracle(n_filters, m, k, seed, kinds):
             w[f, rng.random(m) < 0.7] = 0.0
     u = rng.random((n_filters, k))
     u[rng.random((n_filters, k)) < 0.2] = np.nextafter(1.0, 0.0)
+    u[rng.random((n_filters, k)) < 0.05] = 0.0
     weights_before = w.copy()
-    got = rws_indices_batch(w, u)
+    got = rws_indices_batch(w, u)  # row or flat search, by the crossover
     want = _rws_flat_oracle(w, u)
     assert got.dtype == want.dtype == np.int64
     np.testing.assert_array_equal(got, want)
+    # The lock-step row search itself, forced below its crossover.
+    np.testing.assert_array_equal(_row_search(w, u), want)
     np.testing.assert_array_equal(w, weights_before)  # input left untouched
     # normalize_weights itself (the ESS policy's input) matches its oracle
     # along either axis, bad rows included.
     for axis in (0, 1, -1):
         np.testing.assert_array_equal(normalize_weights(w, axis=axis),
                                       _normalize_oracle(w, axis=axis))
+
+
+@pytest.mark.parametrize("name", ["rws", "vose"])
+def test_batch_offspring_counts_are_unbiased(name):
+    # E[offspring_i] = m * w_i for each row, on the batch path at a shape
+    # above the row-search crossover. Even and odd rows carry different
+    # weights, so rows searched against a neighbour's CDF would show.
+    from repro.core.registry import make_resampler
+
+    F, m = 512, 64
+    assert F * m >= ROW_SEARCH_MIN_DRAWS
+    w_even = np.array([0.02, 0.08, 0.0, 0.2, 0.7, 0.0, 0.0])
+    w_odd = np.array([0.3, 0.0, 0.1, 0.1, 0.05, 0.25, 0.2])
+    w = np.tile(np.stack([w_even, w_odd]), (F // 2, 1))
+    idx = make_resampler(name).resample_batch(w, m, make_rng("numpy", seed=21))
+    assert idx.shape == (F, m)
+    n_draws = (F // 2) * m
+    for rows, p in ((idx[0::2], w_even), (idx[1::2], w_odd)):
+        counts = np.bincount(rows.reshape(-1), minlength=p.size)
+        bound = 5.0 * np.sqrt(n_draws * p * (1 - p)) + 1.0
+        assert (np.abs(counts - n_draws * p) <= bound).all(), (counts, n_draws * p)
+        assert (counts[p == 0] == 0).all()
+
+
+def test_row_search_beats_flat_search():
+    # (256, 64): the arm-track round's resample, 256 sub-filters drawing 64
+    # ancestors each from a 64-particle pool.
+    rng = np.random.default_rng(5)
+    F, m = 256, 64
+    c = np.cumsum(normalize_weights(rng.random((F, m)), axis=1), axis=1)
+    c[:, -1] = 1.0
+    offsets = np.arange(F, dtype=np.float64)[:, None]
+    c += offsets
+    keys = rng.random((F, m)) + offsets
+    best = best_block_seconds(
+        {"flat": lambda k: search_shifted_cdf(c, keys, min_draws=c.size * 10),
+         "row": lambda k: search_shifted_cdf(c, keys, min_draws=0)},
+        warmup=3, block=20)
+    ratio = best["flat"] / best["row"]
+    assert ratio > 1.0, f"the row search ran {ratio:.2f}x the flat search"
