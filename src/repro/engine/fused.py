@@ -251,10 +251,10 @@ def fused_step_batch(ctx: ExecutionContext, state: FilterState) -> bool:
     #    sits in column 0 and the global max-weight winner is the argmax of
     #    that column (first occurrence — same tie-break as the reference
     #    flat scan over the sorted population). A cohort context stripes the
-    #    reduction per session block: each block of ``cohort_block_rows``
-    #    rows is an independent filter and yields its own estimate row, with
-    #    the same first-occurrence tie-break the block would see alone. -----
-    block = getattr(ctx, "cohort_block_rows", None)
+    #    reduction per session block: each block of ``ctx.block_rows`` rows
+    #    is an independent filter and yields its own estimate row, with the
+    #    same first-occurrence tie-break the block would see alone. --------
+    block = ctx.block_rows
     if block is None:
         lead = int(plan.col0.argmax())
         est = states[lead, order[lead, 0]].astype(np.float64)
@@ -343,7 +343,10 @@ class FusedStepStage:
     Invokes the ``fused_step`` kernel (whose compiled form is
     :func:`fused_step_batch`); when the health guard declines the fast path,
     the remainder of the round runs through the reference kernel bodies so
-    degenerate rounds stay bit-identical to the reference pipeline.
+    degenerate rounds stay bit-identical to the reference pipeline. Over a
+    session cohort the guard is slab-global: one non-finite value sends the
+    whole slab down the reference remainder, whose bodies keep healing and
+    the estimate inside each session block.
     """
 
     name = "fused"
@@ -358,24 +361,17 @@ class FusedStepStage:
 
         Sampling + weighting already ran (the fused body and the reference
         stage perform them identically); everything from healing onward is
-        replayed through the canonical bodies, honouring owner overrides the
-        same way the stage classes do.
+        replayed through the reference stage classes, which honour owner
+        overrides. Allocation is "fixed" inside the fused envelope — a strict
+        no-op — so it is not replayed.
         """
-        owner = ctx.owner
-        if ctx.config.self_heal:
-            if owner is not None:
-                owner._heal_population()
-            else:
-                vector_stages.heal_population(ctx, state)
-        vector_stages.sort_by_weight(ctx, state)
-        vector_stages.estimate(ctx, state)
-        if owner is not None:
-            state.pooled_states, state.pooled_logw = owner._exchange()
-            owner._resample(state.pooled_states, state.pooled_logw)
-        else:
-            state.pooled_states, state.pooled_logw = vector_stages.exchange_pool(ctx, state)
-            vector_stages.resample(ctx, state)
-        # Allocation is "fixed" inside the fused envelope — a strict no-op.
+        for stage in _REMAINDER_STAGES:
+            stage.run(ctx, state)
+
+
+_REMAINDER_STAGES = (vector_stages.HealStage(), vector_stages.SortStage(force=True),
+                     vector_stages.EstimateStage(), vector_stages.ExchangeStage(),
+                     vector_stages.ResampleStage())
 
 
 def build_fused_pipeline(hooks=()) -> "StepPipeline":

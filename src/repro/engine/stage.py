@@ -57,8 +57,8 @@ class ExecutionContext:
     (``_heal_population``/``_exchange``/``_resample``) when present so that
     subclasses overriding those methods — the related-work variants in
     :mod:`repro.baselines.distributed_variants` — keep working unchanged.
-    Contexts without an owner (multiprocess workers) run the canonical
-    kernel bodies directly.
+    Contexts without an owner (session cohorts, multiprocess workers) run
+    the canonical kernel bodies directly.
     """
 
     model: object
@@ -86,6 +86,14 @@ class ExecutionContext:
     #: resampling stashes pre-resample ESS / mass share for the allocation
     #: stage and telemetry hook; workers, which run neither, turn this off.
     alloc_metrics: bool = True
+    #: rows per independent filter: a session cohort stacks ``F //
+    #: block_rows`` filters, and heal's donor scan, the estimate, the mass
+    #: share and allocation stay inside each block. ``None``: one block of
+    #: all rows (a solo filter or a worker's shard).
+    block_rows: int | None = None
+    #: the cohort's block-ordered sessions this round (``None`` when solo);
+    #: allocation asks each one's policy and heal credits its counters.
+    sessions: list | None = None
 
     def __post_init__(self):
         self._form_cache: dict[str, object] = {}

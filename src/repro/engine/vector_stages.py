@@ -2,12 +2,18 @@
 
 These are the canonical kernel bodies: every operation runs on the full
 ``(n_filters, m, state_dim)`` population at once, the same shape as the
-paper's one-work-group-per-sub-filter device kernels. The stage classes
-dispatch through ``ctx.owner``'s legacy kernel methods when the owner
-provides them, which keeps the related-work subclasses
+paper's one-work-group-per-sub-filter device kernels. A session cohort
+(:mod:`repro.sessions`) stacks several independent filters as blocks of
+``ctx.block_rows`` rows and runs these same bodies: every stage is row-local
+except heal's donor fallback, the estimate, the mass share and allocation,
+which stay inside each block. A solo filter or a worker's shard is the
+one-block case (``block_rows is None``). The stage classes dispatch through
+``ctx.owner``'s legacy kernel methods when the owner provides them, which
+keeps the related-work subclasses
 (:mod:`repro.baselines.distributed_variants`) overriding ``_exchange`` /
 ``_resample`` / ``_heal_population`` working unchanged; contexts without an
-owner (multiprocess workers) run the module-level kernel functions directly.
+owner (cohorts, multiprocess workers) run the module-level kernel functions
+directly.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from repro.core.estimator import global_estimate
+from repro.core.estimator import _finite_fallback, weighted_mean_estimate
 from repro.engine.stage import ExecutionContext
 from repro.engine.state import FilterState
 from repro.utils.arrays import (
@@ -80,35 +86,53 @@ def heal_population(ctx: ExecutionContext, state: FilterState) -> None:
     ``-inf`` (zero mass). A sub-filter left with *no* finite weight is
     rejuvenated by cloning a live topological neighbour's particles and
     restarting on uniform weights — the paper's exchange primitive reused as
-    a recovery primitive. Deterministic (no RNG draws), so a healthy run is
-    bit-identical with healing on or off.
+    a recovery primitive. Without a live neighbour, the first live row of
+    the dead row's own block (``ctx.block_rows``) donates; a block with no
+    live row restarts every row on uniform weights over its own states. In
+    a session cohort the counters are also credited to the owning session.
+    Deterministic (no RNG draws), so a healthy run is bit-identical with
+    healing on or off.
     """
     if healthy_round(state.log_weights, state.states):
         return  # nothing to mask and no row without a finite weight
-    n_bad = sanitize_log_weights(state.log_weights, state.states)
+    lw, sessions = state.log_weights, ctx.sessions
+    X = ctx.block_rows or lw.shape[0]
+    bad = np.isnan(lw)
+    bad |= ~np.isfinite(state.states).all(axis=-1)
+    bad &= ~np.isneginf(lw)  # count only newly neutralized particles
+    per_row = bad.sum(axis=1)
+    n_bad = int(per_row.sum())
     if n_bad:
+        lw[bad] = -np.inf
         state.heal_counters["sanitized"] += n_bad
-    dead = degenerate_rows(state.log_weights)
+        if sessions is not None:
+            for j, n in enumerate(per_row.reshape(-1, X).sum(axis=1)):
+                sessions[j].heal_counters["sanitized"] += int(n)
+    dead = degenerate_rows(lw)
     if not dead.any():
         return
     alive = ~dead
     table, mask = ctx.table, ctx.mask
     for f in np.flatnonzero(dead):
+        lo = f - f % X
         donors = table[f][mask[f]]
         donors = donors[alive[donors]]
+        block_alive = np.flatnonzero(alive[lo:lo + X])
         if donors.size:
             state.states[f] = state.states[int(donors[0])]
-        elif alive.any():
-            state.states[f] = state.states[int(np.flatnonzero(alive)[0])]
-        # else: every sub-filter is degenerate — keep own states and
-        # restart all of them on uniform weights.
+        elif block_alive.size:
+            state.states[f] = state.states[lo + int(block_alive[0])]
+        # else: every sub-filter of the block is degenerate — keep own
+        # states and restart all of them on uniform weights.
         ok = np.isfinite(state.states[f]).all(axis=-1)
-        state.log_weights[f] = np.where(ok, 0.0, -np.inf) if ok.any() else 0.0
+        lw[f] = np.where(ok, 0.0, -np.inf) if ok.any() else 0.0
         if state.widths is not None:
             # The rejuvenated row keeps its own live width; the donor's
             # particles beyond it are padding again.
-            state.log_weights[f, int(state.widths[f]):] = -np.inf
+            lw[f, int(state.widths[f]):] = -np.inf
         state.heal_counters["rejuvenated"] += 1
+        if sessions is not None:
+            sessions[f // X].heal_counters["rejuvenated"] += 1
 
 
 def heal_local(ctx: ExecutionContext, state: FilterState) -> None:
@@ -158,8 +182,36 @@ def sort_by_weight(ctx: ExecutionContext, state: FilterState) -> None:
 
 
 def estimate(ctx: ExecutionContext, state: FilterState) -> None:
-    """Global estimate: local reduction then global reduction."""
-    state.estimate = global_estimate(state.states, state.log_weights, ctx.config.estimator)
+    """Local reduction then global reduction, once per block of rows.
+
+    A solo context (``ctx.block_rows is None``) yields the ``(d,)``
+    estimate; a cohort yields one ``(d,)`` row per session block. The
+    ``max_weight`` reduction excludes NaN weights and non-finite states
+    (first-occurrence argmax) and falls back to the block's finite mean
+    when nothing usable is left. ``weighted_mean`` reduces block by block:
+    its ``w @ contrib`` BLAS dot must see exactly the solo filter's operands.
+    """
+    X = ctx.block_rows
+    F = state.log_weights.shape[0]
+    R = 1 if X is None else F // X
+    d = state.states.shape[-1]
+    flat_states = np.ascontiguousarray(state.states).reshape(R, -1, d)
+    kind = ctx.config.estimator
+    if kind == "max_weight":
+        lw = np.asarray(state.log_weights, dtype=np.float64).reshape(R, -1)
+        unusable = ()
+        if not healthy_round(lw, flat_states):
+            lw = np.where(np.isnan(lw) | ~np.isfinite(flat_states).all(axis=2), -np.inf, lw)
+            unusable = np.flatnonzero(~np.isfinite(lw.max(axis=1)))
+        est = flat_states[np.arange(R), lw.argmax(axis=1)].astype(np.float64)
+        for b in unusable:
+            est[b] = _finite_fallback(flat_states[b])
+    elif kind == "weighted_mean":
+        lwb = state.log_weights.reshape(R, -1)
+        est = np.stack([weighted_mean_estimate(flat_states[b], lwb[b]) for b in range(R)])
+    else:
+        raise ValueError(f"unknown estimator kind {kind!r}")
+    state.estimate = est[0] if X is None else est
     state.last_estimate = state.estimate
 
 
@@ -230,14 +282,15 @@ def assemble_pool(state: FilterState, recv_states: np.ndarray,
     return pooled_states, pooled_logw
 
 
-def _capture_alloc_metrics(state: FilterState, local_w: np.ndarray,
-                           local_peak: np.ndarray) -> None:
+def _capture_alloc_metrics(ctx: ExecutionContext, state: FilterState,
+                           local_w: np.ndarray, local_peak: np.ndarray) -> None:
     """Stash pre-resample ESS and weight-mass share on the state.
 
     Resampling resets the live weights, so the allocation stage (and the
     allocation telemetry hook) must read these here. Pure reductions over
     arrays the resample stage already materialized — no RNG, no mutation —
-    so golden traces are untouched.
+    so golden traces are untouched. The mass share normalizes within each
+    block of ``ctx.block_rows`` rows, as each filter of a cohort would alone.
     """
     w = np.where(np.isfinite(local_w), local_w, 0.0)
     s1 = w.sum(axis=1)
@@ -246,12 +299,12 @@ def _capture_alloc_metrics(state: FilterState, local_w: np.ndarray,
         state.round_ess = np.where(s2 > 0.0, (s1 * s1) / np.where(s2 > 0.0, s2, 1.0), 0.0)
         lse = np.where(s1 > 0.0, local_peak[:, 0] + np.log(np.where(s1 > 0.0, s1, 1.0)),
                        -np.inf)
-    g = lse.max()
-    if np.isfinite(g):
-        share = np.exp(lse - g)
-        state.round_mass_share = share / share.sum()
-    else:
-        state.round_mass_share = np.full(lse.shape, 1.0 / max(lse.shape[0], 1))
+        lseb = lse.reshape(-1, ctx.block_rows or lse.shape[0])
+        g = lseb.max(axis=1, keepdims=True)
+        share = np.exp(lseb - g)  # NaN in a block without finite mass ...
+        share /= share.sum(axis=1, keepdims=True)
+    share[~np.isfinite(g[:, 0])] = 1.0 / lseb.shape[1]  # ... which goes uniform
+    state.round_mass_share = share.reshape(-1)
 
 
 def resample(ctx: ExecutionContext, state: FilterState) -> None:
@@ -267,7 +320,7 @@ def resample(ctx: ExecutionContext, state: FilterState) -> None:
     np.subtract(state.log_weights, local_peak, out=local_w)
     np.exp(local_w, out=local_w)
     if ctx.alloc_metrics:
-        _capture_alloc_metrics(state, local_w, local_peak)
+        _capture_alloc_metrics(ctx, state, local_w, local_peak)
     mask = ctx.policy.should_resample(local_w, ctx.rng, widths=state.widths)
     state.resampled_mask = mask
     if not mask.any():
@@ -333,30 +386,43 @@ def allocate(ctx: ExecutionContext, state: FilterState) -> None:
     metrics the resample stage stashed, then migrate particles: growth slots
     are drawn from the round's pooled candidate set (own + received — the
     exchange plumbing) where available, so new particles arrive through the
-    topology.
+    topology. In a session cohort every block is decided by its session's
+    own (stateful) policy, and its migration draws come from that session's
+    generator.
     """
-    policy = getattr(ctx, "alloc_policy", None)
+    sessions = ctx.sessions
+    policy = ctx.alloc_policy if sessions is None else sessions[0].alloc_policy
     if policy is None or policy.name == "fixed":
         return
     if state.round_ess is None or state.round_mass_share is None:
         return
     widths = state.effective_widths()
-    new_widths = policy.decide(widths, state.round_ess, state.round_mass_share)
-    if np.array_equal(new_widths, widths):
-        state.widths = np.asarray(widths, dtype=np.int64)
-        return
+    X = ctx.block_rows or widths.shape[0]
+    new_all = np.array(widths, dtype=np.int64)
     resampled = state.resampled_mask
     if resampled is None:
         resampled = np.zeros(state.n_filters, dtype=bool)
-    pooled_states, pooled_logw = state.pooled_states, state.pooled_logw
-    migrated = ctx.invoke_kernel(
-        state, "migrate_resize", state.states, state.log_weights,
-        widths, new_widths, pooled_states, pooled_logw, resampled,
-        ctx.resampler, ctx.rng,
-    )
-    state.widths = np.asarray(new_widths, dtype=np.int64)
-    state.alloc_counters["particles_migrated"] += int(migrated)
-    state.alloc_counters["width_changes"] += int((new_widths != widths).sum())
+    ess, share = state.round_ess, state.round_mass_share
+    for j, lo in enumerate(range(0, widths.shape[0], X)):
+        blk = slice(lo, lo + X)
+        if sessions is not None:
+            policy = sessions[j].alloc_policy
+        new_w = np.asarray(policy.decide(widths[blk], ess[blk], share[blk]), dtype=np.int64)
+        if np.array_equal(new_w, widths[blk]):
+            continue
+        with nullcontext() if sessions is None else ctx.rng.delegating(j):
+            migrated = int(ctx.invoke_kernel(
+                state, "migrate_resize", state.states[blk], state.log_weights[blk],
+                widths[blk], new_w, state.pooled_states[blk], state.pooled_logw[blk],
+                resampled[blk], ctx.resampler, ctx.rng,
+            ))
+        changed = int((new_w != widths[blk]).sum())
+        new_all[blk] = new_w
+        for counters in [state.alloc_counters] + (
+                [] if sessions is None else [sessions[j].alloc_counters]):
+            counters["particles_migrated"] += migrated
+            counters["width_changes"] += changed
+    state.widths = new_all
 
 
 # ---------------------------------------------------------------------------

@@ -34,11 +34,25 @@ class Resampler(abc.ABC):
         Returns ``(n_filters, n_out)`` indices into each row. The default
         implementation loops over rows; vectorized subclasses override it.
         """
-        weights = np.atleast_2d(np.asarray(weights, dtype=np.float64))
+        weights = self._batch_weights(weights)
         out = np.empty((weights.shape[0], n_out), dtype=np.int64)
         for f in range(weights.shape[0]):
             out[f] = self.resample(weights[f], n_out, rng)
         return out
+
+    @staticmethod
+    def _batch_weights(weights: np.ndarray) -> np.ndarray:
+        """The ``(rows, n)`` float64 weight matrix of a batch call.
+
+        Every ``resample_batch`` checks its weights here before it draws, so
+        a negative weight raises like :meth:`resample` does and leaves the
+        RNG untouched. Only negative weights are rejected: a NaN row (a
+        degenerate pool) is left to the algorithm, as it always was.
+        """
+        w = np.atleast_2d(np.asarray(weights, dtype=np.float64))
+        if (w < 0.0).any():
+            raise ValueError("weights must be non-negative")
+        return w
 
     @staticmethod
     def _validate(weights: np.ndarray, n_out: int) -> np.ndarray:

@@ -51,7 +51,7 @@ class MetropolisResampler(Resampler):
         return metropolis_resample_batch(w[None, :], u[0][None], u[1][None])[0]
 
     def resample_batch(self, weights: np.ndarray, n_out: int, rng: FilterRNG) -> np.ndarray:
-        w = np.atleast_2d(np.asarray(weights, dtype=np.float64))
+        w = self._batch_weights(weights)
         B = self._steps(w.shape[1])
         u = rng.uniform((2, w.shape[0], B, n_out))
         return metropolis_resample_batch(w, u[0], u[1])

@@ -110,6 +110,6 @@ class RouletteWheelResampler(Resampler):
         return rws_indices(w, rng.uniform((n_out,)))
 
     def resample_batch(self, weights: np.ndarray, n_out: int, rng: FilterRNG) -> np.ndarray:
-        w = np.atleast_2d(np.asarray(weights, dtype=np.float64))
+        w = self._batch_weights(weights)
         u = rng.uniform((w.shape[0], n_out))
         return rws_indices_batch(w, u)

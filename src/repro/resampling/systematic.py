@@ -38,7 +38,7 @@ class SystematicResampler(Resampler):
     def resample_batch(self, weights: np.ndarray, n_out: int, rng: FilterRNG) -> np.ndarray:
         from repro.resampling.rws import rws_indices_batch
 
-        w = np.atleast_2d(np.asarray(weights, dtype=np.float64))
+        w = self._batch_weights(weights)
         u0 = rng.uniform((w.shape[0], 1))
         positions = (np.arange(n_out)[None, :] + u0) / n_out
         return rws_indices_batch(w, positions)
@@ -57,6 +57,6 @@ class StratifiedResampler(Resampler):
     def resample_batch(self, weights: np.ndarray, n_out: int, rng: FilterRNG) -> np.ndarray:
         from repro.resampling.rws import rws_indices_batch
 
-        w = np.atleast_2d(np.asarray(weights, dtype=np.float64))
+        w = self._batch_weights(weights)
         positions = (np.arange(n_out)[None, :] + rng.uniform((w.shape[0], n_out))) / n_out
         return rws_indices_batch(w, positions)

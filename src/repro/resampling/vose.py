@@ -152,7 +152,7 @@ class VoseAliasResampler(Resampler):
         return alias_sample(prob, alias, u[0], u[1])
 
     def resample_batch(self, weights: np.ndarray, n_out: int, rng: FilterRNG) -> np.ndarray:
-        w = np.atleast_2d(np.asarray(weights, dtype=np.float64))
+        w = self._batch_weights(weights)
         F, m = w.shape
         probs = np.empty((F, m))
         aliases = np.empty((F, m), dtype=np.int64)

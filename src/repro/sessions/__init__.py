@@ -2,10 +2,13 @@
 
 Production traffic is many small concurrent filters, not one big one. This
 package packs live :class:`FilterSession`s into shared ``(S·X, m, d)`` cohort
-slabs so whole cohorts advance through the existing
+slabs so whole cohorts advance through the solo filter's own
 :class:`~repro.engine.pipeline.StepPipeline` (and the fused compiled stage,
 when in-envelope) as **one** vectorized call, amortizing per-filter stage
-dispatch, kernel launch and telemetry overhead across the cohort.
+dispatch, kernel launch and telemetry overhead across the cohort. The stage
+bodies are the engine's: a context with ``block_rows`` set keeps healing,
+the estimate, the mass share and allocation inside each session's block,
+and a solo filter is the one-block case.
 
 Parity contract: a cohort-stepped session is **bit-identical** to the same
 session stepped alone through :class:`~repro.core.DistributedParticleFilter`

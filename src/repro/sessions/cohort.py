@@ -4,11 +4,14 @@ A :class:`Cohort` owns a ``(R * X, m, d)`` population slab holding ``R``
 sessions of ``X`` sub-filters each (block ``j`` owns rows
 ``[j*X, (j+1)*X)``), a block-diagonal neighbour table (``R`` disjoint
 copies of the session topology, so exchange never crosses a session
-boundary), and a cohort pipeline built from the block-local stages in
-:mod:`repro.sessions.stages`. One :meth:`step` call advances every ready
-session by one filtering round through a single vectorized (or fused
-compiled) pipeline pass — the paper's many-core batching argument applied
-across *filters* instead of across particles.
+boundary), and the engine's own pipeline
+(:func:`~repro.engine.build_vector_pipeline`, or
+:func:`~repro.engine.build_fused_pipeline` in the fused envelope) over a
+context whose ``block_rows`` keeps healing, the estimate, the mass share
+and allocation inside each session block. One :meth:`step` call advances
+every ready session by one filtering round through a single pipeline pass —
+the paper's many-core batching argument applied across *filters* instead of
+across particles.
 
 Parity contract: a session stepped through a cohort produces bit-identical
 estimates, populations, widths and counters to the same session stepped
@@ -21,12 +24,17 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.registry import make_policy, make_resampler
-from repro.engine import KernelTimingHook, TimerHook
+from repro.engine import (
+    ExecutionContext,
+    KernelTimingHook,
+    TimerHook,
+    build_fused_pipeline,
+    build_vector_pipeline,
+)
 from repro.engine.state import FilterState
 from repro.metrics.timing import PhaseTimer
 from repro.sessions.rng import CohortRNG
 from repro.sessions.session import FilterSession
-from repro.sessions.stages import CohortExecutionContext, build_cohort_pipeline
 from repro.topology import resolve_topology
 
 
@@ -71,14 +79,14 @@ class Cohort:
         #: fused plan are reused whenever the same subset size recurs).
         self._state = FilterState(scratch_cap_bytes=scratch_cap_bytes)
         self._sub = FilterState(scratch_cap_bytes=scratch_cap_bytes)
-        self._ctx_cache: dict[int, CohortExecutionContext] = {}
+        self._ctx_cache: dict[int, ExecutionContext] = {}
         self.use_fused = (config.execution == "compiled"
                           and fused_envelope_ok(config))
         self.timer = PhaseTimer()
         self.kernel_hook = KernelTimingHook(tracer=tracer)
-        self.pipeline = build_cohort_pipeline(
-            hooks=[TimerHook(self.timer, tracer=tracer), self.kernel_hook],
-            fused=self.use_fused)
+        build = build_fused_pipeline if self.use_fused else build_vector_pipeline
+        self.pipeline = build(
+            hooks=[TimerHook(self.timer, tracer=tracer), self.kernel_hook])
         if config.execution != "reference":
             from repro.kernels.registry import default_registry
 
@@ -166,7 +174,7 @@ class Cohort:
                 None if st.widths is None else st.widths[b * X:(b + 1) * X])
 
     # -- stepping ------------------------------------------------------------
-    def _ctx_for(self, R: int) -> CohortExecutionContext:
+    def _ctx_for(self, R: int) -> ExecutionContext:
         ctx = self._ctx_cache.get(R)
         if ctx is None:
             X = self.X
@@ -179,14 +187,14 @@ class Cohort:
                 base[None, :, :] + offsets[:, None, None],
                 base.dtype.type(-1),
             ).reshape(R * X, deg)
-            ctx = CohortExecutionContext(
+            ctx = ExecutionContext(
                 model=self.model, config=cfg, rng=self.rng,
                 resampler=self.resampler, policy=self.policy,
                 dtype=self.dtype_policy.state,
                 topology=_BlockTopology(R * X), table=table, mask=table >= 0,
                 owner=None, alloc_policy=None, exec_policy=self.exec_policy,
                 dtype_policy=self.dtype_policy,
-                cohort_block_rows=X,
+                block_rows=X,
             )
             self._ctx_cache[R] = ctx
         return ctx
@@ -236,7 +244,7 @@ class Cohort:
         meas = self._pack(measurements, X)
         ctrl = None if controls is None else self._pack(controls, X)
         ctx = self._ctx_for(R)
-        ctx.cohort_sessions = ready
+        ctx.sessions = ready
         self.rng.bind([s.rng for s in ready], X)
         est = self.pipeline.run(ctx, state, meas, ctrl)
         if partial:

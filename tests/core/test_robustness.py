@@ -12,11 +12,10 @@ from repro.core import (
     DistributedParticleFilter,
     estimator,
 )
-from repro.engine import vector_stages
+from repro.engine import ExecutionContext, vector_stages
 from repro.engine.state import FilterState
 from repro.models import LinearGaussianModel
 from repro.models.base import StateSpaceModel
-from repro.sessions import stages as cohort_stages
 from repro.utils import arrays
 from repro.utils.arrays import healthy_round
 
@@ -127,7 +126,7 @@ def test_filter_with_xorshift_rng_backend():
 # -inf padding (healthy) and on every kind of corruption (not).
 # ---------------------------------------------------------------------------
 
-GUARD_MODULES = (vector_stages, estimator, cohort_stages)
+GUARD_MODULES = (vector_stages, estimator)
 F_ROWS, M, D, BLOCK = 6, 8, 3, 3
 HEALTHY_KINDS = ("healthy", "huge", "padded")
 
@@ -160,17 +159,18 @@ def _guard_case(kind):
     return lw, states
 
 
-def _cohort_ctx():
+def _cohort_ctx(block_rows=BLOCK):
     idx = np.arange(F_ROWS)
     lo = idx // BLOCK * BLOCK
     table = np.stack([lo + (idx - lo + 1) % BLOCK, lo + (idx - lo - 1) % BLOCK], axis=1)
-    return cohort_stages.CohortExecutionContext(
+    return ExecutionContext(
         model=None, config=SimpleNamespace(estimator="max_weight"), rng=None,
         resampler=None, policy=None, dtype=np.float32, table=table,
         mask=np.ones_like(table, dtype=bool),
-        cohort_sessions=[SimpleNamespace(heal_counters={"sanitized": 0, "rejuvenated": 0})
-                         for _ in range(F_ROWS // BLOCK)],
-        cohort_block_rows=BLOCK)
+        sessions=None if block_rows is None else [
+            SimpleNamespace(heal_counters={"sanitized": 0, "rejuvenated": 0})
+            for _ in range(F_ROWS // BLOCK)],
+        block_rows=block_rows)
 
 
 def _run_guarded_kernels(lw, states):
@@ -179,18 +179,18 @@ def _run_guarded_kernels(lw, states):
     out["sanitize"] = (arrays.sanitize_log_weights(w, states.copy()), w)
     ctx = _cohort_ctx()
     st = FilterState(states=states.copy(), log_weights=lw.copy())
-    vector_stages.heal_population(ctx, st)
+    vector_stages.heal_population(_cohort_ctx(block_rows=None), st)
     out["heal"] = (st.states, st.log_weights, dict(st.heal_counters))
     st = FilterState(states=states.copy(), log_weights=lw.copy())
     vector_stages.heal_local(ctx, st)
     out["heal_local"] = (st.states, st.log_weights, dict(st.heal_counters))
     out["estimate"] = estimator.max_weight_estimate(states, lw)
     st = FilterState(states=states.copy(), log_weights=lw.copy())
-    cohort_stages.cohort_heal(ctx, st)
+    vector_stages.heal_population(ctx, st)
     out["cohort_heal"] = (st.states, st.log_weights, dict(st.heal_counters),
-                          [dict(s.heal_counters) for s in ctx.cohort_sessions])
+                          [dict(s.heal_counters) for s in ctx.sessions])
     st = FilterState(states=states.copy(), log_weights=lw.copy())
-    cohort_stages.cohort_estimate(ctx, st)
+    vector_stages.estimate(ctx, st)
     out["cohort_estimate"] = st.estimate
     return out
 

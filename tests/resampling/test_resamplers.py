@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.registry import _RESAMPLERS, make_resampler
 from repro.prng import make_rng
 from repro.resampling import (
     MultinomialResampler,
@@ -246,13 +247,15 @@ def test_rws_batch_bitwise_matches_flat_oracle(n_filters, m, k, seed, kinds):
                                       _normalize_oracle(w, axis=axis))
 
 
-@pytest.mark.parametrize("name", ["rws", "vose"])
+# Metropolis is left out: after a finite number of steps B its chains have
+# not mixed, so its offspring counts are biased (Murray, Lee & Jacob,
+# arXiv:1301.4019).
+@pytest.mark.parametrize("name", ["rws", "vose", "systematic", "stratified",
+                                  "multinomial", "residual"])
 def test_batch_offspring_counts_are_unbiased(name):
     # E[offspring_i] = m * w_i for each row, on the batch path at a shape
     # above the row-search crossover. Even and odd rows carry different
     # weights, so rows searched against a neighbour's CDF would show.
-    from repro.core.registry import make_resampler
-
     F, m = 512, 64
     assert F * m >= ROW_SEARCH_MIN_DRAWS
     w_even = np.array([0.02, 0.08, 0.0, 0.2, 0.7, 0.0, 0.0])
@@ -266,6 +269,18 @@ def test_batch_offspring_counts_are_unbiased(name):
         bound = 5.0 * np.sqrt(n_draws * p * (1 - p)) + 1.0
         assert (np.abs(counts - n_draws * p) <= bound).all(), (counts, n_draws * p)
         assert (counts[p == 0] == 0).all()
+
+
+@pytest.mark.parametrize("name", sorted(_RESAMPLERS))
+def test_batch_rejects_negative_weights(name):
+    # The batch path checks its weights before drawing, like ``resample``:
+    # a negative weight raises and the generator has not moved.
+    rng = make_rng("numpy", seed=4)
+    before = rng.uniform((4,))
+    rng = make_rng("numpy", seed=4)
+    with pytest.raises(ValueError, match="non-negative"):
+        make_resampler(name).resample_batch(np.array([[2.0, -1.0, 1.0]]), 6, rng)
+    np.testing.assert_array_equal(rng.uniform((4,)), before)
 
 
 def test_row_search_beats_flat_search():

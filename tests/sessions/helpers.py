@@ -14,6 +14,47 @@ def scalar_model():
     return LinearGaussianModel(A=[[0.9]], C=[[1.0]], Q=[[0.04]], R=[[0.01]])
 
 
+#: measurements on which :class:`PoisonModel` gives every particle of one
+#: sub-filter per filter (``KILL_ROW``) or of the whole filter
+#: (``KILL_BLOCK``) a ``-inf`` log-likelihood.
+KILL_ROW, KILL_BLOCK = 50.0, 60.0
+
+
+class PoisonModel(LinearGaussianModel):
+    """:func:`scalar_model` with unhealthy rounds, for the heal path's parity.
+
+    The poisoning depends only on particle values, so a cohort slab and a
+    solo filter poison exactly the same particles: about 3% of predicted
+    states turn ``+inf`` (their log-likelihood stays finite, so only the
+    state check catches them) and about 3% of the finite ones get a NaN
+    log-likelihood. A ``KILL_ROW`` measurement empties row 0 of every
+    filter (rows are taken modulo ``n_filters``, the one place the model
+    sees the row layout); ``KILL_BLOCK`` empties every row of the filter
+    that receives it.
+    """
+
+    def __init__(self, n_filters):
+        super().__init__(A=[[0.9]], C=[[1.0]], Q=[[0.04]], R=[[0.01]])
+        self.n_filters = n_filters
+
+    def signature(self):
+        return ("poison", self.n_filters) + super().signature()
+
+    def transition(self, states, control, k, rng):
+        out = super().transition(states, control, k, rng)
+        out[np.abs(out[..., 0] * 1e3) % 1.0 < 0.03] = np.inf
+        return out
+
+    def log_likelihood(self, states, measurement, k):
+        safe = np.where(np.isfinite(states), states, 0.0)
+        ll = super().log_likelihood(safe, measurement, k)
+        ll[np.isfinite(states).all(axis=-1) & (np.abs(safe[..., 0] * 7e2) % 1.0 < 0.03)] = np.nan
+        z = np.asarray(measurement)[..., 0]
+        row0 = (np.arange(states.shape[0]) % self.n_filters == 0)[:, None]
+        kill = ((z == KILL_ROW) & row0) | (z == KILL_BLOCK)
+        return np.where(kill, -np.inf, ll)
+
+
 def measurements(n_sessions, n_steps, meas_dim=1, seed=77):
     rng = make_rng("numpy", seed=seed)
     return rng.normal((n_sessions, n_steps, meas_dim))
@@ -30,6 +71,7 @@ def solo_run(model, cfg, meas):
         "states": pf.states.copy(),
         "log_weights": pf.log_weights.copy(),
         "widths": None if widths is None else widths.copy(),
+        "heal_counters": dict(pf.heal_counters),
     }
 
 
@@ -54,6 +96,7 @@ def cohort_run(model, cfgs, meas, manager=None):
             "states": np.asarray(sess.states).copy(),
             "log_weights": np.asarray(sess.log_weights).copy(),
             "widths": None if sess.widths is None else np.asarray(sess.widths).copy(),
+            "heal_counters": dict(sess.heal_counters),
         })
     return out
 

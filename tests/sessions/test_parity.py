@@ -7,6 +7,9 @@ from repro.core import DistributedFilterConfig, DistributedParticleFilter
 from repro.models import LinearGaussianModel, UNGMModel
 from repro.sessions import SessionManager, cohort_envelope, cohort_key
 from tests.sessions.helpers import (
+    KILL_BLOCK,
+    KILL_ROW,
+    PoisonModel,
     assert_bit_identical,
     cohort_run,
     measurements,
@@ -35,17 +38,36 @@ CONFIGS = {
                    rng="philox"),
 }
 
+#: run on :class:`PoisonModel`: NaN weights and non-finite states every
+#: round, a dead row in every session at step 2 and session 1's whole block
+#: dead at step 4, so healing's sanitize pass, neighbour donors and block
+#: restart all run, in the reference stages and in the fused round's
+#: fallback.
+UNHEALTHY_CONFIGS = {
+    "unhealthy_reference": dict(n_particles=8, n_filters=4, topology="ring",
+                                n_exchange=2),
+    "unhealthy_compiled": dict(n_particles=8, n_filters=4, topology="ring",
+                               n_exchange=1, execution="compiled"),
+}
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
+
+@pytest.mark.parametrize("name", sorted(CONFIGS) + sorted(UNHEALTHY_CONFIGS))
 def test_cohort_matches_solo(name):
-    model = scalar_model()
-    kw = CONFIGS[name]
+    unhealthy = name in UNHEALTHY_CONFIGS
+    kw = UNHEALTHY_CONFIGS[name] if unhealthy else CONFIGS[name]
+    model = PoisonModel(kw["n_filters"]) if unhealthy else scalar_model()
     cfgs = [DistributedFilterConfig(seed=10 + i, **kw) for i in range(3)]
     meas = measurements(3, 6)
+    if unhealthy:
+        meas[:, 2] = KILL_ROW
+        meas[1, 4] = KILL_BLOCK
     got = cohort_run(model, cfgs, meas)
     for i, cfg in enumerate(cfgs):
         want = solo_run(model, cfg, meas[i])
         assert_bit_identical(got[i], want, label=f"{name}/s{i}")
+        if unhealthy:
+            assert got[i]["heal_counters"] == want["heal_counters"]
+            assert min(want["heal_counters"].values()) > 0, want["heal_counters"]
 
 
 def test_sessions_actually_share_one_cohort():
