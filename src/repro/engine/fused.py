@@ -217,6 +217,7 @@ def fused_step_batch(ctx: ExecutionContext, state: FilterState) -> bool:
     if isinstance(rng, TimingRNG):
         rng = rng.inner  # same stream, no per-call phase accounting
     # -- sampling + weighting (identical draws to the reference stage) -----
+    state.healthy = False
     state.states = ctx.model.transition(state.states, state.control, state.k, rng)
     loglik = ctx.model.log_likelihood(state.states, state.measurement, state.k)
     logw = state.log_weights

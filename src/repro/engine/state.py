@@ -77,6 +77,11 @@ class FilterState:
     round_mass_share: np.ndarray | None = None
     #: bool (F,) mask of rows the resample stage actually resampled.
     resampled_mask: np.ndarray | None = None
+    #: heal's verdict this round: ``True`` when its ``healthy_round`` check
+    #: passed, so the estimate need not scan the states again (sorting only
+    #: permutes rows). Sampling clears it; a round heal did not vouch for is
+    #: scanned by the estimate as before.
+    healthy: bool = False
     #: ``(kernel_name, elapsed_seconds)`` events appended by
     #: :meth:`~repro.engine.stage.ExecutionContext.invoke_kernel`; drained by
     #: :class:`~repro.engine.hooks.KernelTimingHook` at every stage end.
@@ -203,6 +208,7 @@ class FilterState:
         self.round_ess = None
         self.round_mass_share = None
         self.resampled_mask = None
+        self.healthy = False
         self.kernel_events = []
 
     # -- snapshot accessors for hooks -----------------------------------------

@@ -59,6 +59,7 @@ def sample_weight(ctx: ExecutionContext, state: FilterState) -> None:
     each particle's best of a bounded number of draws.
     """
     cfg = ctx.config
+    state.healthy = False
     if cfg.frim_redraws > 0:
         from repro.core.frim import frim_sample
 
@@ -91,9 +92,11 @@ def heal_population(ctx: ExecutionContext, state: FilterState) -> None:
     live row restarts every row on uniform weights over its own states. In
     a session cohort the counters are also credited to the owning session.
     Deterministic (no RNG draws), so a healthy run is bit-identical with
-    healing on or off.
+    healing on or off. A healthy verdict is kept on ``state.healthy`` for
+    the estimate.
     """
     if healthy_round(state.log_weights, state.states):
+        state.healthy = True
         return  # nothing to mask and no row without a finite weight
     lw, sessions = state.log_weights, ctx.sessions
     X = ctx.block_rows or lw.shape[0]
@@ -143,6 +146,7 @@ def heal_local(ctx: ExecutionContext, state: FilterState) -> None:
     completing the rejuvenation.
     """
     if healthy_round(state.log_weights, state.states):
+        state.healthy = True
         return
     state.heal_counters["sanitized"] += sanitize_log_weights(state.log_weights, state.states)
     rescued = rescue_degenerate_rows(state.log_weights, state.states)
@@ -188,7 +192,8 @@ def estimate(ctx: ExecutionContext, state: FilterState) -> None:
     estimate; a cohort yields one ``(d,)`` row per session block. The
     ``max_weight`` reduction excludes NaN weights and non-finite states
     (first-occurrence argmax) and falls back to the block's finite mean
-    when nothing usable is left. ``weighted_mean`` reduces block by block:
+    when nothing usable is left; it skips that scan when heal vouched for
+    the round (``state.healthy``). ``weighted_mean`` reduces block by block:
     its ``w @ contrib`` BLAS dot must see exactly the solo filter's operands.
     """
     X = ctx.block_rows
@@ -200,7 +205,7 @@ def estimate(ctx: ExecutionContext, state: FilterState) -> None:
     if kind == "max_weight":
         lw = np.asarray(state.log_weights, dtype=np.float64).reshape(R, -1)
         unusable = ()
-        if not healthy_round(lw, flat_states):
+        if not (state.healthy or healthy_round(lw, flat_states)):
             lw = np.where(np.isnan(lw) | ~np.isfinite(flat_states).all(axis=2), -np.inf, lw)
             unusable = np.flatnonzero(~np.isfinite(lw.max(axis=1)))
         est = flat_states[np.arange(R), lw.argmax(axis=1)].astype(np.float64)

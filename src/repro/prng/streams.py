@@ -222,17 +222,35 @@ class _StripedNumpyRNG(NumpyRNG):
         self._gen = stripe
 
 
+def numpy_generator(rng) -> np.random.Generator | None:
+    """*rng*'s NumPy ``Generator`` when *rng* is a plain :class:`NumpyRNG`
+    over one, else ``None``: the streams an in-place striped draw can fill."""
+    if type(rng) is NumpyRNG and isinstance(rng._gen, np.random.Generator):
+        return rng._gen
+    return None
+
+
 def stripe_numpy_rows(segments) -> NumpyRNG | None:
     """One :class:`NumpyRNG` drawing every ``(stream, n_rows)`` segment's
     rows in place, in row order; ``None`` unless every stream is a plain
     :class:`NumpyRNG` over a NumPy ``Generator``."""
     blocks, lo = [], 0
     for rng, n in segments:
-        if type(rng) is not NumpyRNG or not isinstance(rng._gen, np.random.Generator):
+        gen = numpy_generator(rng)
+        if gen is None:
             return None
-        blocks.append((rng._gen, lo, lo + n))
+        blocks.append((gen, lo, lo + n))
         lo += n
     return _StripedNumpyRNG(_RowStripe(blocks))
+
+
+def stripe_generators(gens, block_rows: int) -> NumpyRNG:
+    """One :class:`NumpyRNG` whose ``j``-th NumPy ``Generator`` (see
+    :func:`numpy_generator`) fills rows ``[j * block_rows, (j + 1) *
+    block_rows)`` of every draw in place."""
+    n = len(gens) * block_rows
+    return _StripedNumpyRNG(_RowStripe(list(zip(
+        gens, range(0, n, block_rows), range(block_rows, n + block_rows, block_rows)))))
 
 
 _RNG_KINDS = {"philox": PhiloxRNG, "xorshift": XorShiftRNG, "numpy": NumpyRNG}

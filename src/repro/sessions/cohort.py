@@ -33,6 +33,7 @@ from repro.engine import (
 )
 from repro.engine.state import FilterState
 from repro.metrics.timing import PhaseTimer
+from repro.prng.streams import numpy_generator
 from repro.sessions.rng import CohortRNG
 from repro.sessions.session import FilterSession
 from repro.topology import resolve_topology
@@ -51,6 +52,17 @@ class _BlockTopology:
 
     def __init__(self, n_filters: int):
         self.n_filters = n_filters
+
+
+def block_table(base: np.ndarray, n_blocks: int) -> np.ndarray:
+    """``n_blocks`` disjoint copies of the ``(X, deg)`` neighbour table
+    *base*, block ``j`` offset by ``j * X``; absent neighbours stay ``-1``.
+    The table of ``R`` blocks is the first ``R * X`` rows of any larger one.
+    """
+    X, deg = base.shape
+    offsets = np.arange(n_blocks, dtype=base.dtype) * X
+    return np.where(base[None, :, :] >= 0, base[None, :, :] + offsets[:, None, None],
+                    base.dtype.type(-1)).reshape(n_blocks * X, deg)
 
 
 class Cohort:
@@ -74,6 +86,13 @@ class Cohort:
         self.exec_policy = ExecutionPolicy.from_config(config.execution)
         self.tracer = tracer
         self._base_table = resolve_topology(config.topology, self.X).neighbor_table()
+        #: the block-diagonal table of the most blocks stepped so far; every
+        #: context's table and mask are views of its leading rows.
+        self._table = block_table(self._base_table, 0)
+        self._mask = self._table >= 0
+        #: sessions with queued work, kept by the scheduler that owns the
+        #: queues (batch-on-size reads it instead of scanning the cohort).
+        self.queued = 0
         #: the full slab; ``_sub`` is the persistent gather target for ticks
         #: where only a subset of sessions has work (its scratch pool and
         #: fused plan are reused whenever the same subset size recurs).
@@ -115,6 +134,7 @@ class Cohort:
                 st.widths = np.concatenate([st.widths, widths])
         sess.cohort = self
         sess.block = len(self.sessions)
+        sess.numpy_gen = numpy_generator(sess.rng)
         self.sessions.append(sess)
         self._membership_changed()
 
@@ -178,20 +198,16 @@ class Cohort:
         ctx = self._ctx_cache.get(R)
         if ctx is None:
             X = self.X
-            cfg = self.config.with_(n_filters=R * X)
-            base = self._base_table
-            deg = base.shape[1]
-            offsets = np.arange(R, dtype=base.dtype) * X
-            table = np.where(
-                base[None, :, :] >= 0,
-                base[None, :, :] + offsets[:, None, None],
-                base.dtype.type(-1),
-            ).reshape(R * X, deg)
+            if self._table.shape[0] < R * X:
+                self._table = block_table(self._base_table, R)
+                self._mask = self._table >= 0
+                for r, c in self._ctx_cache.items():
+                    c.table, c.mask = self._table[:r * X], self._mask[:r * X]
             ctx = ExecutionContext(
-                model=self.model, config=cfg, rng=self.rng,
-                resampler=self.resampler, policy=self.policy,
-                dtype=self.dtype_policy.state,
-                topology=_BlockTopology(R * X), table=table, mask=table >= 0,
+                model=self.model, config=self.config.with_(n_filters=R * X),
+                rng=self.rng, resampler=self.resampler, policy=self.policy,
+                dtype=self.dtype_policy.state, topology=_BlockTopology(R * X),
+                table=self._table[:R * X], mask=self._mask[:R * X],
                 owner=None, alloc_policy=None, exec_policy=self.exec_policy,
                 dtype_policy=self.dtype_policy,
                 block_rows=X,
@@ -206,60 +222,77 @@ class Cohort:
         ``(R,)`` payloads become a ``(R*X, 1, z)`` array: row blocks carry
         their own session's measurement and the singleton particle axis
         broadcasts against ``(rows, m, z)`` predictions — elementwise
-        identical to the solo filter's plain-broadcast measurement.
+        identical to the solo filter's plain-broadcast measurement. One
+        ``np.array`` call keeps the payloads' own dtype, as the solo filter
+        sees it. Every payload or none must be present (the scheduler
+        splits a tick whose sessions disagree).
         """
-        if all(v is None for v in values):
+        if values is None:
             return None
-        if any(v is None for v in values):
-            raise ValueError("cohort-mates disagree on control presence")
-        stacked = np.stack([np.asarray(v).reshape(-1) for v in values])
-        return np.repeat(stacked, X, axis=0)[:, None, :]
+        try:
+            packed = np.array(values)
+        except ValueError:  # payload shapes differ, e.g. a scalar beside (1,)
+            packed = np.stack([np.asarray(v).reshape(-1) for v in values])
+        packed = packed.reshape(len(values), -1)
+        if X > 1:
+            packed = np.repeat(packed, X, axis=0)
+        return packed[:, None, :]
 
     def step(self, ready: list[FilterSession], measurements, controls=None):
         """Advance every session in *ready* by one round; returns estimates.
 
         *ready* must be a subset of the cohort's sessions; ``measurements``
-        (and ``controls``) align with it, and the returned list of ``(d,)``
-        estimates aligns with *ready* in its original order (the slab is
-        stepped in block order internally).
+        (and ``controls``, present for every session or ``None``) align
+        with it. Returns the round's ``(R, d)`` float64 estimates, row ``j``
+        belonging to ``ready[j]``; that row is also the session's
+        ``last_estimate``. A list built from :attr:`sessions` is already in
+        block order, the slab's; any other order is stepped in block order
+        and answered in the caller's.
         """
-        order = sorted(range(len(ready)), key=lambda i: ready[i].block)
-        ready = [ready[i] for i in order]
-        measurements = [measurements[i] for i in order]
-        if controls is not None:
-            controls = [controls[i] for i in order]
+        blocks = [s.block for s in ready]
+        if blocks == sorted(blocks):
+            return self._step_blocks(ready, blocks, measurements, controls)
+        order = sorted(range(len(ready)), key=blocks.__getitem__)
+        est = self._step_blocks(
+            [ready[i] for i in order], [blocks[i] for i in order],
+            [measurements[i] for i in order],
+            None if controls is None else [controls[i] for i in order])
+        out = np.empty_like(est)
+        out[order] = est
+        return out
+
+    def _step_blocks(self, ready, blocks, measurements, controls):
+        """:meth:`step` over sessions in ascending block order."""
         R = len(ready)
         X = self.X
         st = self._state
         partial = R != len(self.sessions)
         if partial:
-            blocks = np.array([s.block for s in ready], dtype=np.intp)
-            rows = (blocks[:, None] * X + np.arange(X, dtype=np.intp)).reshape(-1)
+            rows = np.array(blocks, dtype=np.intp)
+            if X > 1:
+                rows = (rows[:, None] * X + np.arange(X, dtype=np.intp)).reshape(-1)
             state = self._sub
-            state.states = st.states[rows]
-            state.log_weights = st.log_weights[rows]
-            state.widths = None if st.widths is None else st.widths[rows]
+            state.states = st.states.take(rows, axis=0)
+            state.log_weights = st.log_weights.take(rows, axis=0)
+            state.widths = None if st.widths is None else st.widths.take(rows)
         else:
             state = st
         meas = self._pack(measurements, X)
-        ctrl = None if controls is None else self._pack(controls, X)
+        ctrl = self._pack(controls, X)
         ctx = self._ctx_for(R)
         ctx.sessions = ready
-        self.rng.bind([s.rng for s in ready], X)
-        est = self.pipeline.run(ctx, state, meas, ctrl)
+        self.rng.bind([s.rng for s in ready], X, [s.numpy_gen for s in ready])
+        est = np.array(self.pipeline.run(ctx, state, meas, ctrl), dtype=np.float64)
         if partial:
             st.states[rows] = state.states
             st.log_weights[rows] = state.log_weights
             if st.widths is not None:
                 st.widths[rows] = state.widths
         self.steps += 1
-        out = [None] * R
-        for j, sess in enumerate(ready):
-            e = np.array(est[j], dtype=np.float64)
+        for sess, e in zip(ready, est):
             sess.k += 1
             sess.last_estimate = e
-            out[order[j]] = e
-        return out
+        return est
 
     # -- introspection -------------------------------------------------------
     def scratch_stats(self) -> dict:

@@ -22,7 +22,9 @@ When every striped stream is a :class:`~repro.prng.streams.NumpyRNG`, a
 batched draw is one ``NumpyRNG`` draw whose generator fills each stream's
 row block in place (:func:`~repro.prng.streams.stripe_numpy_rows`), built
 once per binding or scope rather than per draw; other streams are drawn
-one segment at a time and stitched.
+one segment at a time and stitched. A binding builds the stripe in one
+pass when the caller says which streams are plain ``NumpyRNG``\\ s
+(a cohort decides that once per session, at attach).
 """
 
 from __future__ import annotations
@@ -31,7 +33,12 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from repro.prng.streams import FilterRNG, stripe_numpy_rows
+from repro.prng.streams import (
+    FilterRNG,
+    numpy_generator,
+    stripe_generators,
+    stripe_numpy_rows,
+)
 
 
 class CohortStripeError(RuntimeError):
@@ -50,22 +57,36 @@ class CohortRNG(FilterRNG):
     def __init__(self):
         self._gens: list[FilterRNG] = []
         self._block_rows = 1
-        #: active segments as (generator, n_rows) pairs, in row order.
-        self._segments: list[tuple[FilterRNG, int]] = []
+        #: active segments as (generator, n_rows) pairs, in row order
+        #: (``None`` while a stripe serves every draw of the bound rows).
+        self._segments: list[tuple[FilterRNG, int]] | None = []
         self._rows = 0
         self._stripe: FilterRNG | None = None
         self._delegate: FilterRNG | None = None
 
     # -- binding ------------------------------------------------------------
-    def bind(self, gens: list[FilterRNG], block_rows: int) -> None:
+    def bind(self, gens: list[FilterRNG], block_rows: int,
+             numpy_gens: list | None = None) -> None:
         """Install this tick's per-session generators (row-block order).
 
         Session ``j`` of the bound list owns rows
         ``[j * block_rows, (j + 1) * block_rows)`` of every batched draw.
+        ``numpy_gens`` holds each stream's
+        :func:`~repro.prng.streams.numpy_generator`, decided once by a
+        caller that binds the same streams every tick (``None`` entries
+        for other kinds); without it the streams are inspected here.
         """
-        self._gens = list(gens)
-        self._block_rows = int(block_rows)
-        self._set_segments([(g, self._block_rows) for g in self._gens])
+        self._gens = gens = list(gens)
+        X = self._block_rows = int(block_rows)
+        self._rows = len(gens) * X
+        if numpy_gens is None:
+            numpy_gens = [numpy_generator(g) for g in gens]
+        if None in numpy_gens:
+            self._segments = [(g, X) for g in gens]
+            self._stripe = None
+        else:
+            self._segments = None  # the stripe serves every full-rows draw
+            self._stripe = stripe_generators(numpy_gens, X)
 
     def _set_segments(self, segments) -> None:
         self._segments = segments

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
+from itertools import compress
 
 import numpy as np
 
@@ -87,6 +88,8 @@ class SessionManager:
         self.tracer = tracer
         self.scratch_cap_bytes = scratch_cap_bytes
         self.sessions: dict[str, FilterSession] = {}
+        #: the out-of-envelope sessions, in admission order.
+        self._solo: dict[str, FilterSession] = {}
         self.cohorts: dict[tuple, Cohort] = {}
         self.counters = {
             "attached": 0, "detached": 0, "cohort_steps": 0,
@@ -126,12 +129,15 @@ class SessionManager:
                     key, sess.model, sess.config, tracer=self.tracer,
                     scratch_cap_bytes=self.scratch_cap_bytes)
             cohort.attach(sess)
-        elif sess.solo is None:
-            from repro.core.distributed import DistributedParticleFilter
+            cohort.queued += bool(sess.queue)
+        else:
+            if sess.solo is None:
+                from repro.core.distributed import DistributedParticleFilter
 
-            sess.envelope_reason = reason
-            sess.solo = DistributedParticleFilter(sess.model, sess.config)
-            sess.solo.initialize()
+                sess.envelope_reason = reason
+                sess.solo = DistributedParticleFilter(sess.model, sess.config)
+                sess.solo.initialize()
+            self._solo[sess.session_id] = sess
         self.sessions[sess.session_id] = sess
         self.counters["attached"] += 1
         return sess
@@ -148,9 +154,11 @@ class SessionManager:
             raise KeyError(f"unknown session {session_id!r}")
         cohort = sess.cohort
         if cohort is not None:
+            cohort.queued -= bool(sess.queue)
             cohort.detach(sess)
             if not cohort.sessions:
                 del self.cohorts[cohort.key]
+        self._solo.pop(session_id, None)
         sess.queue.clear()
         self.counters["detached"] += 1
         return sess
@@ -161,32 +169,45 @@ class SessionManager:
         sess = self.sessions.get(session_id)
         if sess is None:
             raise KeyError(f"unknown session {session_id!r}")
-        if len(sess.queue) >= self.max_queue:
+        queue, cohort = sess.queue, sess.cohort
+        if len(queue) >= self.max_queue:
             if self.on_full == "raise":
                 raise QueueFullError(
                     f"session {session_id!r} queue is full "
                     f"({self.max_queue} pending)")
-            sess.queue.popleft()
+            queue.popleft()
             self.counters["dropped"] += 1
-        sess.enqueue(measurement, control)
-        cohort = sess.cohort
-        if self.batch_size is not None and cohort is not None:
-            ready = [s for s in cohort.sessions if s.queue]
-            if len(ready) >= min(self.batch_size, len(cohort.sessions)):
-                self._step_cohort(cohort, ready)
+        elif not queue and cohort is not None:
+            cohort.queued += 1
+        queue.append((measurement, control, time.perf_counter()))
+        if (self.batch_size is not None and cohort is not None
+                and cohort.queued >= min(self.batch_size, len(cohort.sessions))):
+            self._step_cohort(cohort, [s for s in cohort.sessions if s.queue])
 
     # -- stepping ------------------------------------------------------------
     def _step_cohort(self, cohort: Cohort, ready: list[FilterSession]) -> None:
-        ready = sorted(ready, key=lambda s: s.block)
+        """Step *ready* (in block order) on its queue heads: one slab call,
+        or two when only some sessions queued a control, since the slab
+        takes a control for every row or for none."""
         payloads = [s.queue.popleft() for s in ready]
-        ests = cohort.step(ready,
-                           [p[0] for p in payloads],
-                           [p[1] for p in payloads])
+        cohort.queued -= len(ready) - len([s for s in ready if s.queue])
+        bare = [p[1] is None for p in payloads]
+        if all(bare) or not any(bare):
+            self._step_slab(cohort, ready, payloads)
+            return
+        for group in (bare, [not b for b in bare]):
+            self._step_slab(cohort, list(compress(ready, group)),
+                            list(compress(payloads, group)))
+
+    def _step_slab(self, cohort: Cohort, ready: list[FilterSession],
+                   payloads: list[tuple]) -> None:
+        measurements, controls, stamps = zip(*payloads)
+        cohort.step(ready, measurements, None if controls[0] is None else controls)
         now = time.perf_counter()
-        for sess, (_, _, ts), est in zip(ready, payloads, ests):
-            lat = now - ts
-            self._results.append(StepResult(sess.session_id, sess.k, est, lat))
-            self._latency.add(lat)
+        lats = [now - ts for ts in stamps]
+        self._results += [StepResult(s.session_id, s.k, s.last_estimate, lat)
+                          for s, lat in zip(ready, lats)]
+        self._latency.extend(lats)
         self.counters["cohort_steps"] += 1
         self.counters["session_steps"] += len(ready)
         if self.tracer is not None:
@@ -218,8 +239,8 @@ class SessionManager:
             ready = [s for s in cohort.sessions if s.queue]
             if ready:
                 self._step_cohort(cohort, ready)
-        for sess in self.sessions.values():
-            if sess.solo is not None and sess.queue:
+        for sess in self._solo.values():
+            if sess.queue:
                 self._step_solo(sess)
         return self.drain()
 
@@ -250,7 +271,6 @@ class SessionManager:
     def stats(self) -> dict:
         """Scheduler health: population, throughput counters, latency, and
         the cohort slabs' scratch-pool stats."""
-        solo = sum(1 for s in self.sessions.values() if s.solo is not None)
         scratch = {"hits": 0, "misses": 0, "evictions": 0, "buffers": 0,
                    "bytes_held": 0}
         for cohort in self.cohorts.values():
@@ -259,7 +279,7 @@ class SessionManager:
         return {
             "sessions": len(self.sessions),
             "cohorts": len(self.cohorts),
-            "solo_sessions": solo,
+            "solo_sessions": len(self._solo),
             "queued": self.queued,
             "counters": dict(self.counters),
             "latency": self._latency.percentiles(),

@@ -15,7 +15,6 @@ population itself lives either
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass
 
@@ -68,6 +67,10 @@ class FilterSession:
         self.queue: deque = deque()
         self.cohort = None
         self.block = -1
+        #: ``rng``'s NumPy ``Generator`` when it can fill a striped draw in
+        #: place (:func:`~repro.prng.streams.numpy_generator`), set at
+        #: cohort attach.
+        self.numpy_gen = None
         #: the private fallback filter for out-of-envelope sessions.
         self.solo = None
         self.envelope_reason = ""
@@ -113,10 +116,6 @@ class FilterSession:
                          widths: np.ndarray | None) -> None:
         """Receive the population back (cohort detach)."""
         self._states, self._log_weights, self._widths = states, log_weights, widths
-
-    # -- ingress -------------------------------------------------------------
-    def enqueue(self, measurement, control=None) -> None:
-        self.queue.append((measurement, control, time.perf_counter()))
 
     @property
     def attached(self) -> bool:

@@ -225,6 +225,29 @@ def test_healthy_guard_matches_elementwise_path(kind, monkeypatch):
     assert np.isfinite(guarded["estimate"]).all()
 
 
+@pytest.mark.parametrize("self_heal", [True, False])
+def test_healthy_round_scans_the_states_once(self_heal, monkeypatch):
+    """Heal's verdict carries to the estimate (sorting only permutes rows):
+    a healthy round runs one ``healthy_round`` check, in heal when it runs
+    and in the estimate when it does not."""
+    calls = []
+
+    def counted(log_weights, states=None):
+        calls.append(states is not None)
+        return healthy_round(log_weights, states)
+
+    monkeypatch.setattr(vector_stages, "healthy_round", counted)
+    model = LinearGaussianModel(A=[[0.9]], C=[[1.0]], Q=[[0.04]], R=[[0.01]])
+    pf = DistributedParticleFilter(model, DistributedFilterConfig(
+        n_particles=16, n_filters=4, seed=3, self_heal=self_heal))
+    pf.initialize()
+    for z in (0.1, -0.2, 0.3):
+        calls.clear()
+        pf.step(np.array([z]))
+        assert calls == [True]
+        assert pf._state.healthy is self_heal
+
+
 @pytest.mark.filterwarnings("error")
 def test_healthy_round_cases():
     lw = np.zeros((2, 3))

@@ -14,6 +14,12 @@ def scalar_model():
     return LinearGaussianModel(A=[[0.9]], C=[[1.0]], Q=[[0.04]], R=[[0.01]])
 
 
+def control_model():
+    """:func:`scalar_model` driven through a two-column control matrix."""
+    return LinearGaussianModel(A=[[0.9]], C=[[1.0]], Q=[[0.04]], R=[[0.01]],
+                               B=[[0.5, -0.25]])
+
+
 #: measurements on which :class:`PoisonModel` gives every particle of one
 #: sub-filter per filter (``KILL_ROW``) or of the whole filter
 #: (``KILL_BLOCK``) a ``-inf`` log-likelihood.
@@ -60,11 +66,16 @@ def measurements(n_sessions, n_steps, meas_dim=1, seed=77):
     return rng.normal((n_sessions, n_steps, meas_dim))
 
 
-def solo_run(model, cfg, meas):
-    """Trajectory + final population of one filter stepped alone."""
+def solo_run(model, cfg, meas, controls=None):
+    """Trajectory + final population of one filter stepped alone; step
+    ``k`` takes ``controls[k]`` when *controls* is given (``None`` entries
+    step without one)."""
     pf = DistributedParticleFilter(model, cfg)
     pf.initialize()
-    ests = np.array([np.asarray(pf.step(z), dtype=np.float64) for z in meas])
+    if controls is None:
+        controls = [None] * len(meas)
+    ests = np.array([np.asarray(pf.step(z, u), dtype=np.float64)
+                     for z, u in zip(meas, controls)])
     widths = pf._state.widths
     return {
         "estimates": ests,
@@ -75,9 +86,10 @@ def solo_run(model, cfg, meas):
     }
 
 
-def cohort_run(model, cfgs, meas, manager=None):
+def cohort_run(model, cfgs, meas, manager=None, controls=None):
     """The same sessions stepped through one SessionManager; returns a list
-    of per-session dicts shaped like :func:`solo_run`'s."""
+    of per-session dicts shaped like :func:`solo_run`'s. Session ``i``
+    submits ``controls[i][k]`` with step ``k`` when *controls* is given."""
     mgr = manager or SessionManager()
     S, T = meas.shape[:2]
     for i, cfg in enumerate(cfgs):
@@ -85,7 +97,8 @@ def cohort_run(model, cfgs, meas, manager=None):
     ests = [[] for _ in range(S)]
     for k in range(T):
         for i in range(S):
-            mgr.submit(f"s{i}", meas[i, k])
+            mgr.submit(f"s{i}", meas[i, k],
+                       None if controls is None else controls[i][k])
         for res in mgr.tick():
             ests[int(res.session_id[1:])].append(res.estimate)
     out = []

@@ -9,6 +9,7 @@ import numpy as np
 
 from repro.core import DistributedFilterConfig
 from repro.sessions import SessionManager
+from repro.topology import resolve_topology
 from tests.sessions.helpers import (
     assert_bit_identical,
     measurements,
@@ -141,3 +142,27 @@ class TestLateAttachAndIdling:
         got1 = snapshot(mgr, "s1", ests["s1"])
         assert_bit_identical(got1, solo_run(model, cfgs[1], meas[1, seen1]),
                              label="idler")
+
+
+def test_contexts_slice_one_neighbour_table():
+    # One tick per ready count R: every count gets its own context, and
+    # each context's table is the first R*X rows of the cohort's one table.
+    n, X = 12, 4
+    mgr = SessionManager()
+    for i in range(n):
+        mgr.attach(f"s{i}", scalar_model(), base_cfg(seed=i))
+    cohort = next(iter(mgr.cohorts.values()))
+    meas = measurements(n, 1)
+    for R in range(1, n + 1):
+        for i in range(R):
+            mgr.submit(f"s{i}", meas[i, 0])
+        assert len(mgr.tick()) == R
+    base = resolve_topology("ring", X).neighbor_table()
+    full = np.concatenate([np.where(base >= 0, base + j * X, -1) for j in range(n)])
+    assert cohort._table.nbytes == full.nbytes
+    assert sorted(cohort._ctx_cache) == list(range(1, n + 1))
+    for R, ctx in cohort._ctx_cache.items():
+        assert np.shares_memory(ctx.table, cohort._table)
+        assert np.shares_memory(ctx.mask, cohort._mask)
+        np.testing.assert_array_equal(ctx.table, full[:R * X])
+        np.testing.assert_array_equal(ctx.mask, full[:R * X] >= 0)

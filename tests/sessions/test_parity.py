@@ -12,6 +12,7 @@ from tests.sessions.helpers import (
     PoisonModel,
     assert_bit_identical,
     cohort_run,
+    control_model,
     measurements,
     scalar_model,
     solo_run,
@@ -68,6 +69,36 @@ def test_cohort_matches_solo(name):
         if unhealthy:
             assert got[i]["heal_counters"] == want["heal_counters"]
             assert min(want["heal_counters"].values()) > 0, want["heal_counters"]
+
+
+@pytest.mark.parametrize("name", ["ring_exchange", "fused_compiled"])
+def test_cohort_matches_solo_with_controls(name):
+    model = control_model()
+    cfgs = [DistributedFilterConfig(seed=10 + i, **CONFIGS[name]) for i in range(3)]
+    meas = measurements(3, 6)
+    controls = measurements(3, 6, meas_dim=2, seed=78)
+    got = cohort_run(model, cfgs, meas, controls=controls)
+    for i, cfg in enumerate(cfgs):
+        assert_bit_identical(got[i], solo_run(model, cfg, meas[i], controls[i]),
+                             label=f"{name}/controls/s{i}")
+
+
+@pytest.mark.parametrize("name", ["ring_exchange", "fused_compiled"])
+def test_mixed_control_presence_steps_every_session(name):
+    # At step k only session k % 3 submits a control, so every tick mixes
+    # sessions with and without one; none may lose its observation.
+    model = control_model()
+    cfgs = [DistributedFilterConfig(seed=10 + i, **CONFIGS[name]) for i in range(3)]
+    meas = measurements(3, 6)
+    u = measurements(3, 6, meas_dim=2, seed=78)
+    controls = [[u[i, k] if k % 3 == i else None for k in range(6)] for i in range(3)]
+    mgr = SessionManager()
+    got = cohort_run(model, cfgs, meas, manager=mgr, controls=controls)
+    assert mgr.queued == 0
+    for i, cfg in enumerate(cfgs):
+        assert mgr.sessions[f"s{i}"].k == 6
+        assert_bit_identical(got[i], solo_run(model, cfg, meas[i], controls[i]),
+                             label=f"{name}/mixed/s{i}")
 
 
 def test_sessions_actually_share_one_cohort():

@@ -1,5 +1,7 @@
 """Admission, bounded ingress, batch-on-size stepping and stats readout."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,61 @@ class TestStepping:
         results = mgr.drain()
         assert sorted(r.session_id for r in results) == ["s0", "s1"]
         assert mgr.queued == 0
+
+    def test_batch_on_size_submit_work_does_not_grow_with_the_cohort(self):
+        # Every session's queue counts its length checks; a submit below
+        # the batch threshold must touch only its own session's queue.
+        class CountingQueue(deque):
+            checks = 0
+
+            def __len__(self):
+                CountingQueue.checks += 1
+                return super().__len__()
+
+        def checks_per_submit(n):
+            mgr = manager_with(n, batch_size=n)
+            for sess in mgr.sessions.values():
+                sess.queue = CountingQueue()
+            CountingQueue.checks = 0
+            for i in range(8):
+                mgr.submit(f"s{i}", np.zeros(1))
+            checks = CountingQueue.checks
+            assert not mgr._results and mgr.queued == 8
+            return checks / 8
+
+        assert checks_per_submit(16) == checks_per_submit(128)
+
+    def test_batch_on_size_counts_through_drop_and_detach(self):
+        mgr = manager_with(3, batch_size=3, max_queue=1, on_full="drop_oldest")
+        cohort = next(iter(mgr.cohorts.values()))
+        mgr.submit("s0", np.zeros(1))
+        mgr.submit("s0", np.ones(1))  # evicts the first: still one session
+        mgr.submit("s1", np.zeros(1))
+        assert cohort.queued == 2 and not mgr._results
+        mgr.detach("s2")  # now two of two sessions have work
+        mgr.submit("s1", np.ones(1))
+        assert sorted(r.session_id for r in mgr.drain()) == ["s0", "s1"]
+        assert cohort.queued == 0 and mgr.queued == 0
+
+    def test_scalar_and_vector_payloads_share_a_tick(self):
+        mgr, twin = manager_with(2), manager_with(2)
+        mgr.submit("s0", 0.5)
+        mgr.submit("s1", np.array([0.25]))
+        twin.submit("s0", np.array([0.5]))
+        twin.submit("s1", np.array([0.25]))
+        for got, want in zip(mgr.tick(), twin.tick()):
+            np.testing.assert_array_equal(got.estimate, want.estimate)
+
+    def test_cohort_step_answers_in_the_callers_order(self):
+        cohort, twin = (next(iter(manager_with(3).cohorts.values()))
+                        for _ in range(2))
+        meas = measurements(3, 1)[:, 0]
+        est = cohort.step(cohort.sessions[::-1], meas[::-1])
+        want = twin.step(twin.sessions, meas)
+        np.testing.assert_array_equal(est, want[::-1])
+        assert [s.k for s in cohort.sessions] == [1, 1, 1]
+        for sess, row in zip(cohort.sessions, want):
+            np.testing.assert_array_equal(sess.last_estimate, row)
 
     def test_pump_drains_everything(self):
         mgr = manager_with(2)
