@@ -227,9 +227,8 @@ def top_t(ctx: ExecutionContext, state: FilterState, t: int) -> tuple[np.ndarray
         w = np.exp(state.log_weights - state.log_weights.max(axis=1, keepdims=True))
         sel = ctx.resampler.resample_batch(w, t, ctx.rng)  # (F, t)
     elif cfg.selection == "sort":
-        # Rows are already sorted descending.
-        F = cfg.n_filters
-        sel = np.broadcast_to(np.arange(t), (F, t))
+        # Rows are already sorted descending: the t best lead every row.
+        return state.states[:, :t].copy(), state.log_weights[:, :t].copy()
     else:
         # Local-max selection: argpartition the t best, then order them.
         m = state.log_weights.shape[1]

@@ -73,6 +73,10 @@ class RobotArmModel(StateSpaceModel):
         self.control_dim = K
         self.link_lengths = np.full(K, p.arm_length / K)
         self.process_sigma = np.repeat([p.sigma_theta, p.sigma_xy, p.sigma_v], [K, 2, 2])
+        #: ``process_sigma`` per state dtype, tiled over the most particles a
+        #: transition has drawn; its leading ``n * state_dim`` values scale
+        #: ``n`` flat particles in one contiguous multiply.
+        self._sigma_tiles: dict[np.dtype, np.ndarray] = {}
 
     # -- state layout helpers -------------------------------------------------
     def angles(self, states: np.ndarray) -> np.ndarray:
@@ -106,14 +110,41 @@ class RobotArmModel(StateSpaceModel):
         return mean
 
     def transition(self, states: np.ndarray, control: np.ndarray | None, k: int, rng: FilterRNG) -> np.ndarray:
-        h, K = self.params.h_s, self.n_joints
+        h, K, d = self.params.h_s, self.n_joints, self.state_dim
         states = np.asarray(states)
-        out = np.multiply(rng.normal(states.shape, dtype=np.float64), self.process_sigma, dtype=states.dtype)
+        dtype = states.dtype
+        # The noise is cast to the state dtype before sigma scales it. The
+        # control and velocity terms are added one column at a time, as long
+        # 1-D strided passes over the flat array: NumPy runs a short inner
+        # dimension such as ``out[..., :K]`` slowly. Each column add resolves
+        # to the same dtypes as ``out[..., :K] += h * control`` and
+        # ``out[..., K:K+2] += h * states[..., K+2:K+4]``, so every value is
+        # bit-identical to those forms (tests/models/test_robot_arm.py).
+        out = np.ascontiguousarray(rng.normal(states.shape, dtype=np.float64), dtype=dtype)
+        flat = out.reshape(-1)
+        flat *= self._sigma_tile(dtype, flat.size)
         out += states
         if control is not None:
-            out[..., :K] += h * np.asarray(control)
-        out[..., K : K + 2] += h * states[..., K + 2 : K + 4]
+            hu = h * np.asarray(control)
+            if hu.shape == (K,):
+                add_dtype = np.result_type(dtype, hu.dtype)  # the array-array promotion
+                for j in range(K):
+                    col = flat[j::d]
+                    np.add(col, hu[j], out=col, dtype=add_dtype)
+            else:
+                out[..., :K] += hu
+        src = states.reshape(-1)
+        for j in (K, K + 1):
+            col = flat[j::d]
+            col += h * src[j + 2 :: d]
         return out
+
+    def _sigma_tile(self, dtype: np.dtype, size: int) -> np.ndarray:
+        tile = self._sigma_tiles.get(dtype)
+        if tile is None or tile.size < size:
+            tile = np.tile(self.process_sigma.astype(dtype), size // self.state_dim)
+            self._sigma_tiles[dtype] = tile
+        return tile[:size]
 
     def measurement_mean(self, states: np.ndarray) -> np.ndarray:
         """Noise-free measurement ``(theta_hat..., x_C, y_C)`` per particle."""

@@ -209,8 +209,37 @@ class _RowStripe:
         return out
 
 
+class _EqualRowStripe:
+    """A :class:`_RowStripe` whose streams each own ``rows`` rows, in order.
+
+    It fills the streams' blocks by iterating a ``(n_streams, rows, ...)``
+    reshape of the draw instead of slicing the draw once per stream.
+    """
+
+    __slots__ = ("_gens", "_rows")
+
+    def __init__(self, gens, rows: int):
+        self._gens = list(gens)  # np.random.Generator per stream, in row order
+        self._rows = rows
+
+    def _blocks(self, out):
+        return zip(self._gens, out.reshape((len(self._gens), self._rows) + out.shape[1:]))
+
+    def random(self, size):
+        out = np.empty(size)
+        for gen, block in self._blocks(out):
+            gen.random(out=block)
+        return out
+
+    def standard_normal(self, size):
+        out = np.empty(size)
+        for gen, block in self._blocks(out):
+            gen.standard_normal(out=block)
+        return out
+
+
 class _StripedNumpyRNG(NumpyRNG):
-    """A :class:`NumpyRNG` over a :class:`_RowStripe`.
+    """A :class:`NumpyRNG` over a :class:`_RowStripe` or :class:`_EqualRowStripe`.
 
     ``uniform``/``normal`` are inherited, so a striped draw is one
     ``NumpyRNG`` draw: its dtype cast and uniform narrowing run once over
@@ -248,9 +277,7 @@ def stripe_generators(gens, block_rows: int) -> NumpyRNG:
     """One :class:`NumpyRNG` whose ``j``-th NumPy ``Generator`` (see
     :func:`numpy_generator`) fills rows ``[j * block_rows, (j + 1) *
     block_rows)`` of every draw in place."""
-    n = len(gens) * block_rows
-    return _StripedNumpyRNG(_RowStripe(list(zip(
-        gens, range(0, n, block_rows), range(block_rows, n + block_rows, block_rows)))))
+    return _StripedNumpyRNG(_EqualRowStripe(gens, block_rows))
 
 
 _RNG_KINDS = {"philox": PhiloxRNG, "xorshift": XorShiftRNG, "numpy": NumpyRNG}

@@ -84,6 +84,9 @@ class SessionManager:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
         self.max_queue = int(max_queue)
         self.on_full = on_full
+        if batch_size is not None and batch_size < 1:
+            raise ValueError(
+                f"batch_size must be >= 1 (or None to step on tick), got {batch_size}")
         self.batch_size = None if batch_size is None else int(batch_size)
         self.tracer = tracer
         self.scratch_cap_bytes = scratch_cap_bytes

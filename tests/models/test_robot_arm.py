@@ -87,6 +87,56 @@ def test_transition_draws_once_and_matches_reference(dtype, tol):
     np.testing.assert_allclose(y, _reference_transition(m, states, u, noise), rtol=0, atol=tol)
 
 
+def _broadcast_transition(m, states, control, rng):
+    """The transition as broadcast column updates, kept verbatim as an oracle
+    for the column-wise form: it must agree to the last bit."""
+    h, K = m.params.h_s, m.n_joints
+    states = np.asarray(states)
+    out = np.multiply(rng.normal(states.shape, dtype=np.float64), m.process_sigma, dtype=states.dtype)
+    out += states
+    if control is not None:
+        out[..., :K] += h * np.asarray(control)
+    out[..., K : K + 2] += h * states[..., K + 2 : K + 4]
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape, control", [
+    ((6, 4, 9), "joint"),         # the filter's (F, m, d) population
+    ((6, 4, 9), None),
+    ((6, 4, 9), "per-row"),       # a cohort's (F, 1, K) controls: broadcast path
+    ((5, 9), "joint"),
+    ((9,), "joint"),              # one ground-truth state
+    ((6, 4, 9), "float32-joint"),
+])
+def test_transition_is_bitwise_the_broadcast_form(dtype, shape, control):
+    m = RobotArmModel()
+    gen = np.random.default_rng(2)
+    states = (m.initial_mean() + gen.normal(size=shape)).astype(dtype)
+    u = {None: None, "joint": m.control_at(5),
+         "per-row": m.control_at(5) + gen.normal(size=(6, 1, 5)),
+         "float32-joint": m.control_at(5).astype(np.float32)}[control]
+    for _ in range(2):  # the second call reuses the cached sigma tile
+        got = m.transition(states, u, 5, make_rng("numpy", seed=8))
+        want = _broadcast_transition(m, states, u, make_rng("numpy", seed=8))
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    if len(shape) > 1:  # a smaller population then reads a prefix of the tile
+        small, u_small = states[:2], (u[:2] if control == "per-row" else u)
+        got = m.transition(small, u_small, 5, make_rng("numpy", seed=9))
+        want = _broadcast_transition(m, small, u_small, make_rng("numpy", seed=9))
+        assert got.tobytes() == want.tobytes()
+
+
+def test_transition_reads_strided_states():
+    m = RobotArmModel()
+    base = np.random.default_rng(3).normal(size=(4, 16, 9)).astype(np.float32)
+    states = base[:, ::2]  # a non-contiguous view
+    got = m.transition(states, m.control_at(1), 1, make_rng("numpy", seed=4))
+    want = _broadcast_transition(m, states, m.control_at(1), make_rng("numpy", seed=4))
+    assert got.tobytes() == want.tobytes()
+
+
 def _reference_log_likelihood(m, states, z):
     """Float64 likelihood built from measurement_mean, as the model defines it."""
     p, K = m.params, m.n_joints

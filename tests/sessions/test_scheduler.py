@@ -49,6 +49,17 @@ class TestAdmission:
         with pytest.raises(ValueError, match="max_queue"):
             SessionManager(max_queue=0)
 
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            SessionManager(batch_size=batch_size)
+
+    def test_no_batch_size_steps_on_tick(self):
+        mgr = manager_with(3, batch_size=None)
+        mgr.submit("s0", measurements(1, 1)[0, 0])
+        assert mgr.counters["cohort_steps"] == 0
+        assert [r.session_id for r in mgr.tick()] == ["s0"]
+
 
 class TestBoundedIngress:
     def test_full_queue_raises_by_default(self):
