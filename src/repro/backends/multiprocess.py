@@ -84,7 +84,6 @@ from repro.allocation import (
     allocation_capacity,
     make_allocation_policy,
     mass_concentration,
-    pad_population,
     row_logsumexp,
     share_from_logsumexp,
     subfilter_ess,
@@ -94,18 +93,12 @@ from repro.backends.worker_rng import FilterStripedRNG
 from repro.core.dtypes import resolve_dtype_policy
 from repro.core.estimator import max_weight_estimate, weighted_mean_estimate
 from repro.core.parameters import DistributedFilterConfig, distributed_config_to_dict
-from repro.core.registry import make_policy, make_resampler
-from repro.engine import (
-    ExecutionContext,
-    FilterState,
-    KernelTimingHook,
-    StepPipeline,
-    TimerHook,
-)
+from repro.engine import StepPipeline
+from repro.engine.round import Round
 from repro.engine.vector_stages import LocalHealStage, ResampleStage, SampleWeightStage, SortStage
 from repro.engine.vector_stages import assemble_pool
-from repro.kernels.registry import CostParams, default_registry
-from repro.metrics.timing import PhaseTimer, TimingRNG
+from repro.kernels.registry import default_registry
+from repro.metrics.timing import PhaseTimer
 from repro.models.base import StateSpaceModel
 from repro.prng.streams import make_rng
 from repro.resilience.checkpoint import (
@@ -132,12 +125,6 @@ from repro.telemetry.tracer import Tracer, spans_from_wire, spans_to_wire
 from repro.topology import resolve_topology, shard_table_view
 from repro.utils.arrays import healthy_round, sanitize_log_weights, take_into
 from repro.utils.validation import check_positive_int
-
-
-def _delegated_init(model, rng, i, m, dtype):
-    """Draw one sub-filter's initial particles from its own stream."""
-    with rng.delegating(i):
-        return model.initial_particles(m, rng, dtype=dtype)
 
 
 def _worker_loop(chan, model, config, ids, worker_id,
@@ -183,7 +170,6 @@ def _worker_loop(chan, model, config, ids, worker_id,
     block's population, the RNG's full internal state, and the self-healing
     counters — everything that determines the block's future draws.
     """
-    timer = PhaseTimer()
     ids = np.sort(np.asarray(ids, dtype=np.int64))
     rng_mode, rng_arg = rng_spec
     if rng_mode == "filter":
@@ -192,50 +178,39 @@ def _worker_loop(chan, model, config, ids, worker_id,
     else:
         inner = make_rng(config.rng, config.seed).spawn(
             1000 + worker_id + 100_000 * int(rng_arg))
-    rng = TimingRNG(inner, timer)
-    from repro.kernels.forms import ExecutionPolicy
-
-    dtype_policy = resolve_dtype_policy(config.dtype_policy, config.dtype)
-    dtype = dtype_policy.state
-    wdt = dtype_policy.weight
-    F = int(ids.size)
-    m = config.n_particles
-    shard_view = None
-    m_cap = allocation_capacity(config)
-    adaptive = m_cap != m
-    state = FilterState()
-    ctx = ExecutionContext(
-        model=model, config=config, rng=rng,
-        resampler=make_resampler(config.resampler),
-        policy=make_policy(config.resample_policy, config.resample_arg),
-        dtype=dtype,
-        exec_policy=ExecutionPolicy.from_config(config.execution),
-        dtype_policy=dtype_policy,
-        alloc_metrics=False,  # the master decides allocation from its own metrics
-    )
     tracer = Tracer()
     heal_hook = HealMonitorHook(tracer=tracer)
-
-    def _cost_params():
-        # Adaptive allocation: charge kernels at the block's actual mean
-        # live width, which moves between rounds.
-        m_live = m if state.widths is None else max(1, round(state.live_particles / F))
-        return CostParams(m=m_live, state_dim=model.state_dim, n_groups=F,
-                          dtype_bytes=dtype.itemsize, n_exchange=config.n_exchange)
-
-    kernel_hook = KernelTimingHook(tracer=tracer, cost_params=_cost_params)
-    hooks = [FaultInjectionHook(fault_plan, worker_id, tracer=tracer),
-             heal_hook, TimerHook(timer, tracer=tracer), kernel_hook]
+    hooks = [FaultInjectionHook(fault_plan, worker_id, tracer=tracer), heal_hook]
     if heartbeat:
         # First in the list: the stage-entry beat lands before fault
         # injection can kill/hang the stage, mirroring a real worker that
         # was demonstrably alive when the stage began.
         hooks.insert(0, HeartbeatHook(chan, fault_plan, worker_id))
+    # The master decides allocation from its own metrics, so the worker
+    # captures none; its round splits at the exchange into two pipelines.
+    rnd = Round(model, config, inner, stages=None, tracer=tracer, hooks=hooks,
+                alloc_metrics=False)
+    timer, rng, state, ctx, kernel_hook = (
+        rnd.timer, rnd.rng, rnd.state, rnd.ctx, rnd.kernel_hook)
+    dtype, wdt = rnd.dtype, rnd.dtype_policy.weight
+    F = int(ids.size)
+    shard_view = None
+    m_cap = allocation_capacity(config)
+    adaptive = m_cap != config.n_particles
     local_pipeline = StepPipeline(
-        [SampleWeightStage(), LocalHealStage(), SortStage(force=True)], hooks=hooks
+        [SampleWeightStage(), LocalHealStage(), SortStage(force=True)], hooks=rnd.hooks
     )
-    resample_pipeline = StepPipeline([ResampleStage()], hooks=hooks)
+    resample_pipeline = StepPipeline([ResampleStage()], hooks=rnd.hooks)
     reported_errors = 0
+
+    def _reset(new_states, new_logw, widths):
+        """Replace the block's population with shipped (F, m_cap) arrays."""
+        state.reset(
+            np.ascontiguousarray(new_states, dtype=dtype).reshape(
+                F, m_cap, model.state_dim),
+            np.asarray(new_logw, dtype=wdt).reshape(F, m_cap).copy(),
+            widths=widths,
+        )
 
     def _finish_phase2(recv_states, recv_logw):
         """Pool incoming particles, resample, reply with round telemetry."""
@@ -281,32 +256,14 @@ def _worker_loop(chan, model, config, ids, worker_id,
             kind = msg[0]
             try:
                 if kind == "init":
-                    if rng_mode == "filter":
-                        # One init draw per sub-filter from its own stream —
-                        # the same (m, d) draw it would perform under any
-                        # partition, which is what shard parity pins.
-                        states = np.stack([
-                            _delegated_init(model, rng, i, m, dtype)
-                            for i in range(F)])
-                    else:
-                        flat = model.initial_particles(F * m, rng, dtype=dtype)
-                        states = flat.reshape(F, m, model.state_dim)
-                    logw = np.zeros((F, m), dtype=wdt)
-                    widths = None
-                    if adaptive:
-                        states, logw = pad_population(states, logw, m_cap)
-                        widths = np.full(F, m, dtype=np.int64)
-                    state.reset(states, logw, widths=widths)
+                    # Filter-striped streams draw one (m, d) prior per
+                    # sub-filter from its own stream — the same draw under
+                    # any partition, which is what shard parity pins.
+                    rnd.initialize(rows=F, per_filter=rng_mode == "filter")
                     chan.send(("ok",))
                 elif kind == "adopt":
                     # Respawn path: start from particles cloned off a donor.
-                    _, new_states, new_logw, new_widths = msg
-                    state.reset(
-                        np.ascontiguousarray(new_states, dtype=dtype).reshape(
-                            F, m_cap, model.state_dim),
-                        np.asarray(new_logw, dtype=wdt).reshape(F, m_cap).copy(),
-                        widths=new_widths,
-                    )
+                    _reset(*msg[1:])
                     chan.send(("ok",))
                 elif kind == "phase1":
                     _, z, u, k, t, trace, new_widths = msg
@@ -444,12 +401,7 @@ def _worker_loop(chan, model, config, ids, worker_id,
                                None if state.widths is None else state.widths.copy()))
                 elif kind == "restore":
                     _, new_states, new_logw, k, rng_state, heal_counters, widths = msg
-                    state.reset(
-                        np.ascontiguousarray(new_states, dtype=dtype).reshape(
-                            F, m_cap, model.state_dim),
-                        np.asarray(new_logw, dtype=wdt).reshape(F, m_cap).copy(),
-                        widths=widths,
-                    )
+                    _reset(new_states, new_logw, widths)
                     state.k = int(k)
                     # Merge over reset()'s defaults: an elastic restore sends
                     # no counters (they are shard-local aggregates) and must

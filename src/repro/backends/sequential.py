@@ -6,152 +6,32 @@ magnitude slower than the vectorized filter and exists purely as the
 correctness oracle (the paper similarly validated its CUDA/OpenCL kernels
 against sequential reference implementations).
 
-The oracle runs the *same* :class:`~repro.engine.pipeline.StepPipeline` as
-the vectorized filter, with the loop-based stage implementations from
-:mod:`repro.engine.loop_stages` — so it reports the same canonical per-stage
-timings through the timer hook (previously its ``kernel_seconds`` came back
-empty) and honours the full configuration surface (``roughening``,
-``frim_redraws``, ``exchange_select="sample"``) instead of silently
-diverging from the vectorized filter.
+The oracle is the same :class:`~repro.core.distributed.SoloFilter` as the
+vectorized filter — one :class:`~repro.engine.round.Round`, with the
+loop-based stage implementations from :mod:`repro.engine.loop_stages` — so
+it reports the same canonical per-stage timings and costed kernel spans and
+honours the full configuration surface (``roughening``, ``frim_redraws``,
+``exchange_select="sample"``) instead of silently diverging from the
+vectorized filter. It always runs reference execution (it *is* the
+reference), but honours the dtype policy so float32 runs can be validated
+against it on the same precision.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
+from repro.core.distributed import SoloFilter
 from repro.core.parameters import DistributedFilterConfig
-from repro.core.registry import make_policy, make_resampler
-from repro.engine import (
-    AllocationTelemetryHook,
-    ExecutionContext,
-    FilterState,
-    KernelTimingHook,
-    TimerHook,
-    build_loop_pipeline,
-)
-from repro.metrics.timing import PhaseTimer, TimingRNG
 from repro.models.base import StateSpaceModel
-from repro.prng.streams import make_rng
-from repro.telemetry import Tracer
-from repro.topology import resolve_topology
 
 
-class SequentialDistributedParticleFilter:
+class SequentialDistributedParticleFilter(SoloFilter):
     """Algorithm 2, straight from the pseudocode, one particle at a time."""
 
-    def __init__(self, model: StateSpaceModel, config: DistributedFilterConfig | None = None):
-        self.model = model
-        self.config = config or DistributedFilterConfig(n_particles=16, n_filters=4)
-        cfg = self.config
-        self.topology = resolve_topology(cfg.topology, cfg.n_filters)
-        self.timer = PhaseTimer()
-        self.rng = TimingRNG(make_rng(cfg.rng, cfg.seed), self.timer)
-        self.resampler = make_resampler(cfg.resampler)
-        self.policy = make_policy(cfg.resample_policy, cfg.resample_arg)
-        from repro.allocation import make_allocation_policy
+    backend = "sequential"
+    stages = "loop"
+    per_filter_prior = True
 
-        self.alloc_policy = make_allocation_policy(cfg)
-        from repro.core.dtypes import resolve_dtype_policy
-
-        # The oracle never takes compiled shortcuts (it *is* the reference),
-        # but it honours the dtype policy so float32 runs can be validated
-        # against it on the same precision.
-        self.dtype_policy = resolve_dtype_policy(cfg.dtype_policy, cfg.dtype)
-        self.dtype = self.dtype_policy.state
-        self._state = FilterState()
-        self._ctx = ExecutionContext(
-            model=model, config=cfg, rng=self.rng, resampler=self.resampler,
-            policy=self.policy, dtype=self.dtype, topology=self.topology,
-            table=self.topology.neighbor_table(),
-            mask=self.topology.neighbor_table() >= 0,
-            alloc_policy=self.alloc_policy,
-            dtype_policy=self.dtype_policy,
-        )
-        self.tracer = Tracer()
-        self.kernel_hook = KernelTimingHook(tracer=self.tracer)
-        self.pipeline = build_loop_pipeline(
-            hooks=[TimerHook(self.timer, tracer=self.tracer), self.kernel_hook,
-                   AllocationTelemetryHook(tracer=self.tracer)])
-
-    # -- state delegation ------------------------------------------------------
-    @property
-    def states(self) -> np.ndarray | None:
-        return self._state.states
-
-    @property
-    def log_weights(self) -> np.ndarray | None:
-        return self._state.log_weights
-
-    @property
-    def widths(self) -> np.ndarray | None:
-        return self._state.widths
-
-    @property
-    def k(self) -> int:
-        return self._state.k
-
-    @property
-    def last_estimate(self) -> np.ndarray | None:
-        return self._state.last_estimate
-
-    @property
-    def heal_counters(self) -> dict[str, int]:
-        return self._state.heal_counters
-
-    @property
-    def kernel_seconds(self) -> dict[str, float]:
-        """Cumulative wall time of registered kernels dispatched this run."""
-        return self.kernel_hook.kernel_seconds
-
-    @property
-    def telemetry_errors(self) -> int:
-        """Hook/exporter callbacks that raised and were isolated."""
-        return self.pipeline.telemetry_errors
-
-    @property
-    def filters(self) -> list[dict] | None:
-        """Per-sub-filter view of the population (legacy inspection shape)."""
-        if self._state.states is None:
-            return None
-        return [
-            {"states": self._state.states[f], "logw": self._state.log_weights[f]}
-            for f in range(self.config.n_filters)
-        ]
-
-    # -- lifecycle ----------------------------------------------------------
-    def initialize(self) -> None:
-        cfg = self.config
-        states = np.stack([
-            self.model.initial_particles(cfg.n_particles, self.rng, dtype=self.dtype)
-            for _ in range(cfg.n_filters)
-        ])
-        log_weights = np.zeros((cfg.n_filters, cfg.n_particles),
-                               dtype=self.dtype_policy.weight)
-        from repro.allocation import allocation_capacity, pad_population
-
-        capacity = allocation_capacity(cfg)
-        widths = None
-        if capacity != cfg.n_particles:
-            states, log_weights = pad_population(states, log_weights, capacity)
-            widths = np.full(cfg.n_filters, cfg.n_particles, dtype=np.int64)
-        self._state.reset(states, log_weights, widths=widths)
-
-    def step(self, measurement: np.ndarray, control: np.ndarray | None = None) -> np.ndarray:
-        if self._state.states is None:
-            self.initialize()
-        return self.pipeline.run(self._ctx, self._state, measurement, control)
-
-    # -- checkpoint / restore ---------------------------------------------------
-    def save_checkpoint(self, path: str) -> dict:
-        """Atomically write a snapshot resumable bit-identically; see
-        :mod:`repro.resilience.checkpoint` for the format and guarantees."""
-        from repro.resilience.checkpoint import save_filter_checkpoint
-
-        return save_filter_checkpoint(self, path, backend="sequential")
-
-    def load_checkpoint(self, path: str) -> dict:
-        """Restore a :meth:`save_checkpoint` snapshot (population + RNG +
-        step counter); the next :meth:`step` continues the original trace."""
-        from repro.resilience.checkpoint import load_filter_checkpoint
-
-        return load_filter_checkpoint(self, path, backend="sequential")
+    def __init__(self, model: StateSpaceModel, config: DistributedFilterConfig | None = None,
+                 tracer=None):
+        super().__init__(model, config or DistributedFilterConfig(n_particles=16, n_filters=4),
+                         tracer)

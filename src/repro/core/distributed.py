@@ -8,133 +8,75 @@ operations are local to a sub-filter except the neighbour exchange and the
 final estimate reduction, which is what makes the design scale with core
 count instead of core size.
 
-This class is a thin façade: the round itself is the shared
-:class:`~repro.engine.pipeline.StepPipeline` over the vectorized stage
-implementations in :mod:`repro.engine.vector_stages` — every kernel operates
-on the full ``(n_filters, m, state_dim)`` population in batched NumPy, the
-same shape as the paper's one-work-group-per-sub-filter device kernels.
-Timing attaches as a :class:`~repro.engine.hooks.TimerHook` rather than
-inline code; further observers (device cost accounting, resilience
-monitoring) hook into ``self.pipeline`` the same way.
+This class is a thin façade over one :class:`~repro.engine.round.Round`,
+which :class:`SoloFilter` shares with the loop oracle: the round runs the
+vectorized stage implementations in :mod:`repro.engine.vector_stages` (or
+their fused form) — every kernel operates on the full
+``(n_filters, m, state_dim)`` population in batched NumPy, the same shape as
+the paper's one-work-group-per-sub-filter device kernels. Timing attaches as
+a :class:`~repro.engine.hooks.TimerHook` rather than inline code; further
+observers (device cost accounting, resilience monitoring) hook into
+``self.pipeline`` the same way.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.allocation import (
-    allocation_capacity,
-    make_allocation_policy,
-    pad_population,
-)
+from repro.allocation import make_allocation_policy
 from repro.core.estimator import local_estimates
 from repro.core.parameters import DistributedFilterConfig
-from repro.core.registry import make_policy, make_resampler
-from repro.engine import (
-    AllocationTelemetryHook,
-    ExecutionContext,
-    FilterState,
-    KernelTimingHook,
-    TimerHook,
-    build_vector_pipeline,
-)
 from repro.engine import vector_stages
-from repro.metrics.timing import PhaseTimer, TimingRNG
+from repro.engine.round import Round
 from repro.models.base import StateSpaceModel
 from repro.prng.streams import make_rng
-from repro.telemetry import Tracer
 from repro.topology import resolve_topology
 
 
-class DistributedParticleFilter:
-    """Algorithm 2 over an exchange topology.
+class SoloFilter:
+    """A whole filter in one process: one :class:`~repro.engine.round.Round`
+    over the full population, stepped, checkpointed and inspected here.
 
-    Parameters
-    ----------
-    model:
-        the dynamical system (vectorized over leading batch dims).
-    config:
-        the (m, N, X, t, ...) parameter set; see
-        :class:`~repro.core.parameters.DistributedFilterConfig`.
+    Subclasses choose only the round's stage family, how the prior is
+    drawn, and the backend tag their checkpoints carry. ``tracer`` is an
+    optional shared :class:`~repro.telemetry.Tracer` (a private disabled
+    one by default).
     """
 
-    def __init__(self, model: StateSpaceModel, config: DistributedFilterConfig | None = None):
+    #: the checkpoint's ``backend`` tag; a snapshot loads only into its own.
+    backend = "vectorized"
+    #: the round's stage family: ``"vector"`` or ``"loop"``.
+    stages = "vector"
+    #: draw the prior one sub-filter at a time instead of in one flat call.
+    per_filter_prior = False
+
+    def __init__(self, model: StateSpaceModel, config: DistributedFilterConfig | None = None,
+                 tracer=None):
         self.model = model
-        self.config = config or DistributedFilterConfig()
-        cfg = self.config
+        self.config = cfg = config or DistributedFilterConfig()
         self.topology = resolve_topology(cfg.topology, cfg.n_filters)
         self._table = self.topology.neighbor_table()
         self._mask = self._table >= 0
-        self.timer = PhaseTimer()
-        self.rng = TimingRNG(make_rng(cfg.rng, cfg.seed), self.timer)
-        self.resampler = make_resampler(cfg.resampler)
-        self.policy = make_policy(cfg.resample_policy, cfg.resample_arg)
         self.alloc_policy = make_allocation_policy(cfg)
-        from repro.core.dtypes import resolve_dtype_policy
-        from repro.kernels.forms import ExecutionPolicy
-
-        self.dtype_policy = resolve_dtype_policy(cfg.dtype_policy, cfg.dtype)
-        self.exec_policy = ExecutionPolicy.from_config(cfg.execution)
-        self.dtype = self.dtype_policy.state
-        self._state = FilterState()
-        self._ctx = ExecutionContext(
-            model=model, config=cfg, rng=self.rng, resampler=self.resampler,
-            policy=self.policy, dtype=self.dtype, topology=self.topology,
-            table=self._table, mask=self._mask, owner=self,
-            alloc_policy=self.alloc_policy,
-            exec_policy=self.exec_policy, dtype_policy=self.dtype_policy,
-        )
-        # Telemetry: span recording is off until an exporter is attached (or
-        # ``tracer.enabled`` is set); the hooks below then emit step/stage/
-        # kernel spans without touching the legacy timer/kernel_seconds path.
-        self.tracer = Tracer()
-        self.kernel_hook = KernelTimingHook(
-            tracer=self.tracer, cost_params=self._cost_params)
-        # Non-default execution/dtype policies are stamped onto every step
-        # span; default runs emit byte-identical telemetry to older builds.
-        span_attrs = None
-        if cfg.execution != "reference" or cfg.dtype_policy != "mixed":
-            span_attrs = {"execution": cfg.execution,
-                          "dtype_policy": cfg.dtype_policy}
-        hooks = [TimerHook(self.timer, tracer=self.tracer, span_attrs=span_attrs),
-                 self.kernel_hook]
-        from repro.engine.fused import build_fused_pipeline, fused_pipeline_applicable
-
-        if fused_pipeline_applicable(self):
-            # The fused envelope requires fixed allocation, so the allocation
-            # telemetry hook would have nothing to report every round.
-            self.pipeline = build_fused_pipeline(hooks=hooks)
-        else:
-            hooks.append(AllocationTelemetryHook(tracer=self.tracer))
-            self.pipeline = build_vector_pipeline(hooks=hooks)
-        if cfg.execution != "reference":
-            # Trigger any JIT compilation (numba, when present) during
-            # construction so the first timed step pays no warm-up cost.
-            from repro.kernels.registry import default_registry
-
-            self.exec_policy.warm_up(default_registry())
-
-    def _cost_params(self):
-        """The shape the kernel cost signatures are evaluated at (span attrs).
-
-        Under adaptive allocation the population is ragged, so kernels are
-        charged at the *actual* mean live width — the cost of a round tracks
-        the particles that exist, not the padded capacity.
-        """
-        from repro.kernels.registry import CostParams
-
-        cfg = self.config
-        m = cfg.n_particles
-        if self._state.widths is not None:
-            m = max(1, round(self._state.live_particles / cfg.n_filters))
-        return CostParams(m=m, state_dim=self.model.state_dim,
-                          n_groups=cfg.n_filters, dtype_bytes=self.dtype.itemsize,
-                          n_exchange=cfg.n_exchange)
+        rnd = self._round = Round(
+            model, cfg, make_rng(cfg.rng, cfg.seed), stages=self.stages, owner=self,
+            tracer=tracer, topology=self.topology, table=self._table, mask=self._mask,
+            alloc_policy=self.alloc_policy)
+        self.timer, self.rng, self.tracer = rnd.timer, rnd.rng, rnd.tracer
+        self.resampler, self.policy = rnd.resampler, rnd.policy
+        self.dtype_policy, self.dtype = rnd.dtype_policy, rnd.dtype
+        self._state, self._ctx = rnd.state, rnd.ctx
+        self.kernel_hook, self.pipeline = rnd.kernel_hook, rnd.pipeline
 
     @property
     def telemetry_errors(self) -> int:
         """Hook/exporter callbacks that raised and were isolated."""
         return self.pipeline.telemetry_errors
+
+    @property
+    def kernel_seconds(self) -> dict[str, float]:
+        """Cumulative wall time of registered kernels dispatched this run."""
+        return self.kernel_hook.kernel_seconds
 
     # -- state delegation ------------------------------------------------------
     # The population lives in the engine's FilterState; these properties keep
@@ -160,17 +102,9 @@ class DistributedParticleFilter:
     def k(self) -> int:
         return self._state.k
 
-    @k.setter
-    def k(self, value: int) -> None:
-        self._state.k = value
-
     @property
     def last_estimate(self) -> np.ndarray | None:
         return self._state.last_estimate
-
-    @last_estimate.setter
-    def last_estimate(self, value) -> None:
-        self._state.last_estimate = value
 
     @property
     def heal_counters(self) -> dict[str, int]:
@@ -178,32 +112,56 @@ class DistributedParticleFilter:
         weight/state, and sub-filters rejuvenated after total degeneracy."""
         return self._state.heal_counters
 
+    @property
+    def widths(self) -> np.ndarray | None:
+        """Per-sub-filter live widths ``m_i`` (``None`` under fixed layout)."""
+        return self._state.widths
+
+    @property
+    def live_particles(self) -> int:
+        """Total live particles across sub-filters (excludes padding)."""
+        return self._state.live_particles
+
     # -- lifecycle ----------------------------------------------------------
     def initialize(self) -> None:
-        """Draw every sub-filter's population from the model prior.
-
-        Adaptive allocation starts from the paper's equal split, padded out
-        to the policy's capacity ``m_max``; the fixed policy keeps the exact
-        dense ``(F, m, d)`` layout (no padding, ``widths`` unset).
-        """
-        cfg = self.config
-        flat = self.model.initial_particles(cfg.total_particles, self.rng, dtype=self.dtype)
-        states = np.ascontiguousarray(
-            flat.reshape(cfg.n_filters, cfg.n_particles, self.model.state_dim))
-        log_weights = np.zeros((cfg.n_filters, cfg.n_particles),
-                               dtype=self.dtype_policy.weight)
-        capacity = allocation_capacity(cfg)
-        widths = None
-        if capacity != cfg.n_particles:
-            states, log_weights = pad_population(states, log_weights, capacity)
-            widths = np.full(cfg.n_filters, cfg.n_particles, dtype=np.int64)
-        self._state.reset(states, log_weights, widths=widths)
+        """Draw every sub-filter's population from the model prior."""
+        self._round.initialize(per_filter=self.per_filter_prior)
 
     def step(self, measurement: np.ndarray, control: np.ndarray | None = None) -> np.ndarray:
         """One distributed filtering round; returns the global estimate."""
         if self._state.states is None:
             self.initialize()
         return self.pipeline.run(self._ctx, self._state, measurement, control)
+
+    # -- checkpoint / restore ---------------------------------------------------
+    def save_checkpoint(self, path: str) -> dict:
+        """Atomically write a snapshot resumable bit-identically; see
+        :mod:`repro.resilience.checkpoint` for the format and guarantees."""
+        from repro.resilience.checkpoint import save_filter_checkpoint
+
+        return save_filter_checkpoint(self, path, backend=self.backend)
+
+    def load_checkpoint(self, path: str) -> dict:
+        """Restore a :meth:`save_checkpoint` snapshot (population + RNG +
+        step counter); the next :meth:`step` continues the original trace."""
+        from repro.resilience.checkpoint import load_filter_checkpoint
+
+        return load_filter_checkpoint(self, path, backend=self.backend)
+
+
+class DistributedParticleFilter(SoloFilter):
+    """Algorithm 2 over an exchange topology.
+
+    Parameters
+    ----------
+    model:
+        the dynamical system (vectorized over leading batch dims).
+    config:
+        the (m, N, X, t, ...) parameter set; see
+        :class:`~repro.core.parameters.DistributedFilterConfig`.
+    tracer:
+        optional shared :class:`~repro.telemetry.Tracer`.
+    """
 
     # -- kernels --------------------------------------------------------------
     # Default bodies live in repro.engine.vector_stages; these thin methods
@@ -223,32 +181,7 @@ class DistributedParticleFilter:
         self._state.pooled_logw = pooled_logw
         vector_stages.resample(self._ctx, self._state)
 
-    # -- checkpoint / restore ---------------------------------------------------
-    def save_checkpoint(self, path: str) -> dict:
-        """Atomically write a snapshot resumable bit-identically; see
-        :mod:`repro.resilience.checkpoint` for the format and guarantees."""
-        from repro.resilience.checkpoint import save_filter_checkpoint
-
-        return save_filter_checkpoint(self, path, backend="vectorized")
-
-    def load_checkpoint(self, path: str) -> dict:
-        """Restore a :meth:`save_checkpoint` snapshot (population + RNG +
-        step counter); the next :meth:`step` continues the original trace."""
-        from repro.resilience.checkpoint import load_filter_checkpoint
-
-        return load_filter_checkpoint(self, path, backend="vectorized")
-
     # -- introspection ---------------------------------------------------------
-    @property
-    def widths(self) -> np.ndarray | None:
-        """Per-sub-filter live widths ``m_i`` (``None`` under fixed layout)."""
-        return self._state.widths
-
-    @property
-    def live_particles(self) -> int:
-        """Total live particles across sub-filters (excludes padding)."""
-        return self._state.live_particles
-
     def weight_mass_share(self) -> np.ndarray:
         """Each sub-filter's share of the global weight mass, shape (F,)."""
         from repro.allocation import weight_mass_share
@@ -262,11 +195,6 @@ class DistributedParticleFilter:
     @property
     def total_particles(self) -> int:
         return self.config.total_particles
-
-    @property
-    def kernel_seconds(self) -> dict[str, float]:
-        """Cumulative wall time of registered kernels dispatched this run."""
-        return self.kernel_hook.kernel_seconds
 
     def local_estimates(self) -> np.ndarray:
         """Per-sub-filter estimates, shape ``(n_filters, state_dim)``."""

@@ -10,13 +10,17 @@ this package is that idea as a library layer:
 - :class:`StageHook` / :class:`TimerHook` — timing, device cost accounting
   and resilience monitoring attach here instead of living inline,
 - :mod:`~repro.engine.vector_stages` — the batched-NumPy kernel bodies,
-- :mod:`~repro.engine.loop_stages` — the per-particle oracle bodies.
+- :mod:`~repro.engine.loop_stages` — the per-particle oracle bodies,
+- :class:`Round` — one owner's round machinery (timer, timed RNG,
+  policies, state, context, tracer, hooks, pipeline choice, kernel cost
+  parameters) and :func:`prior_population`, built in one place.
 
-Backends are thin façades: the vectorized filter runs the full vector
-pipeline, the sequential oracle runs the loop pipeline, multiprocess
-workers run the local-only stage subset with exchange routed through the
-message-passing boundary, and the device-simulated filter attaches a cost
-hook to whichever pipeline it wraps.
+Every owner of a round builds a :class:`Round` and adds only what differs:
+the vectorized filter and the loop oracle pick vector or loop stages; a
+session cohort sets its blocks and derives a per-size context; a
+multiprocess worker splits the round at the exchange, which the master
+routes, and leads its hooks with heartbeat, fault and heal monitoring. The
+device-simulated filter attaches a cost hook to the pipeline it wraps.
 """
 
 from repro.engine.hooks import (
@@ -32,6 +36,7 @@ from repro.engine.state import FilterState
 from repro.engine.fused import FusedStepStage, build_fused_pipeline
 from repro.engine.loop_stages import build_loop_pipeline
 from repro.engine.vector_stages import build_vector_pipeline
+from repro.engine.round import Round, prior_population
 
 __all__ = [
     "FusedStepStage",
@@ -41,6 +46,7 @@ __all__ = [
     "AllocationTelemetryHook",
     "KernelTimingHook",
     "RecordingHook",
+    "Round",
     "STAGE_NAMES",
     "Stage",
     "StageHook",
@@ -48,4 +54,5 @@ __all__ = [
     "TimerHook",
     "build_loop_pipeline",
     "build_vector_pipeline",
+    "prior_population",
 ]

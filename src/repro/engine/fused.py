@@ -99,7 +99,8 @@ def fused_pipeline_applicable(filt) -> bool:
     from repro.core.distributed import DistributedParticleFilter
 
     for method in ("_heal_population", "_top_t", "_exchange", "_resample"):
-        if getattr(type(filt), method) is not getattr(DistributedParticleFilter, method):
+        base = getattr(DistributedParticleFilter, method)
+        if getattr(type(filt), method, base) is not base:
             return False
     return True
 

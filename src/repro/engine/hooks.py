@@ -65,16 +65,12 @@ class TimerHook(StageHook):
         #: extra attributes stamped on every ``step`` span (e.g. the active
         #: execution form / dtype policy). ``None`` keeps step spans
         #: byte-identical to builds that predate execution-form dispatch.
-        self.span_attrs = span_attrs
+        self.span_attrs = span_attrs or {}
 
     def on_step_start(self, state: FilterState) -> None:
         tracer = self.tracer
         if tracer is not None and tracer.enabled:
-            if self.span_attrs:
-                tracer.begin(f"step {state.k}", "step", k=state.k,
-                             **self.span_attrs)
-            else:
-                tracer.begin(f"step {state.k}", "step", k=state.k)
+            tracer.begin(f"step {state.k}", "step", k=state.k, **self.span_attrs)
 
     def on_stage_start(self, name: str, state: FilterState) -> None:
         self.timer.start(name)
@@ -104,9 +100,9 @@ class KernelTimingHook(StageHook):
     loop-based or a multiprocess worker's. With a tracer attached and
     enabled, every drained event additionally becomes a ``kernel`` span with
     its real timestamps — annotated with the registered cost signature's
-    flops/bytes when ``cost_params`` (a
-    :class:`~repro.kernels.registry.CostParams` or a zero-arg callable
-    returning one) is provided.
+    flops/bytes when ``cost_params`` (a callable mapping the drained
+    :class:`FilterState` to a :class:`~repro.kernels.registry.CostParams`)
+    is provided.
     """
 
     def __init__(self, tracer=None, cost_params=None):
@@ -116,14 +112,14 @@ class KernelTimingHook(StageHook):
         self.cost_params = cost_params
         self._attr_cache: dict[tuple, dict | None] = {}
 
-    def _cost_attrs(self, name: str) -> dict | None:
+    def _cost_attrs(self, name: str, state: FilterState) -> dict | None:
         if self.cost_params is None:
             return None
-        params = self.cost_params() if callable(self.cost_params) else self.cost_params
-        # Keyed by (name, m): under adaptive allocation the live width moves
-        # between rounds and each kernel must be charged at the width it
-        # actually ran at, not the first round's.
-        key = (name, params.m)
+        params = self.cost_params(state)
+        # Keyed by (name, m, n_groups): the live width moves between rounds
+        # under adaptive allocation, and a cohort's row count between ticks;
+        # each kernel is charged at the shape it actually ran at.
+        key = (name, params.m, params.n_groups)
         if key not in self._attr_cache:
             from repro.kernels.registry import kernel_cost_attrs
 
@@ -143,7 +139,7 @@ class KernelTimingHook(StageHook):
             if tracing and len(event) > 2:
                 start = event[2]
                 tracer.add(name, "kernel", start, start + elapsed,
-                           attrs=self._cost_attrs(name))
+                           attrs=self._cost_attrs(name, state))
         events.clear()
 
     def on_stage_end(self, name: str, state: FilterState, elapsed: float) -> None:

@@ -4,14 +4,13 @@ A :class:`Cohort` owns a ``(R * X, m, d)`` population slab holding ``R``
 sessions of ``X`` sub-filters each (block ``j`` owns rows
 ``[j*X, (j+1)*X)``), a block-diagonal neighbour table (``R`` disjoint
 copies of the session topology, so exchange never crosses a session
-boundary), and the engine's own pipeline
-(:func:`~repro.engine.build_vector_pipeline`, or
-:func:`~repro.engine.build_fused_pipeline` in the fused envelope) over a
-context whose ``block_rows`` keeps healing, the estimate, the mass share
-and allocation inside each session block. One :meth:`step` call advances
-every ready session by one filtering round through a single pipeline pass —
-the paper's many-core batching argument applied across *filters* instead of
-across particles.
+boundary), and one :class:`~repro.engine.round.Round` — the solo filter's
+vector stages, or its fused round in the fused envelope — stepped over a
+per-size copy of the round's context whose ``block_rows`` keeps healing,
+the estimate, the mass share and allocation inside each session block.
+One :meth:`step` call advances every ready session by one filtering round
+through a single pipeline pass — the paper's many-core batching argument
+applied across *filters* instead of across particles.
 
 Parity contract: a session stepped through a cohort produces bit-identical
 estimates, populations, widths and counters to the same session stepped
@@ -23,35 +22,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.registry import make_policy, make_resampler
-from repro.engine import (
-    ExecutionContext,
-    KernelTimingHook,
-    TimerHook,
-    build_fused_pipeline,
-    build_vector_pipeline,
-)
+from repro.engine.round import Round, prior_population
 from repro.engine.state import FilterState
-from repro.metrics.timing import PhaseTimer
 from repro.prng.streams import numpy_generator
 from repro.sessions.rng import CohortRNG
 from repro.sessions.session import FilterSession
 from repro.topology import resolve_topology
-
-
-class _BlockTopology:
-    """Synthetic pairwise topology view over the block-diagonal table.
-
-    The stages only ever ask ``pooled`` (routing itself goes through the
-    explicit neighbour table); a cohort table is never pooled — the envelope
-    only admits pooled topologies when their neighbour table is empty, which
-    short-circuits the exchange before this object is consulted.
-    """
-
-    pooled = False
-
-    def __init__(self, n_filters: int):
-        self.n_filters = n_filters
 
 
 def block_table(base: np.ndarray, n_blocks: int) -> np.ndarray:
@@ -70,46 +46,34 @@ class Cohort:
 
     def __init__(self, key, model, config, tracer=None,
                  scratch_cap_bytes: int | None = None):
-        from repro.core.dtypes import resolve_dtype_policy
-        from repro.engine.fused import fused_envelope_ok
-        from repro.kernels.forms import ExecutionPolicy
-
         self.key = key
         self.model = model
         self.config = config
         self.X = config.n_filters
         self.sessions: list[FilterSession] = []
         self.rng = CohortRNG()
-        self.resampler = make_resampler(config.resampler)
-        self.policy = make_policy(config.resample_policy, config.resample_arg)
-        self.dtype_policy = resolve_dtype_policy(config.dtype_policy, config.dtype)
-        self.exec_policy = ExecutionPolicy.from_config(config.execution)
-        self.tracer = tracer
-        self._base_table = resolve_topology(config.topology, self.X).neighbor_table()
+        # Stages read only the session topology's ``pooled`` kind; routing
+        # goes through the block tables (the envelope admits a pooled
+        # topology only when its exchange is empty).
+        topology = resolve_topology(config.topology, self.X)
+        rnd = self._round = Round(model, config, self.rng, tracer=tracer, topology=topology,
+                                  state=FilterState(scratch_cap_bytes=scratch_cap_bytes))
+        self.timer, self.kernel_hook, self.pipeline = rnd.timer, rnd.kernel_hook, rnd.pipeline
+        #: the round's state is the full slab; ``_sub`` is the persistent
+        #: gather target for ticks where only a subset of sessions has work
+        #: (its scratch pool and fused plan are reused whenever the same
+        #: subset size recurs).
+        self._state = rnd.state
+        self._sub = FilterState(scratch_cap_bytes=scratch_cap_bytes)
+        self._base_table = topology.neighbor_table()
         #: the block-diagonal table of the most blocks stepped so far; every
         #: context's table and mask are views of its leading rows.
         self._table = block_table(self._base_table, 0)
         self._mask = self._table >= 0
+        self._ctx_cache: dict[int, object] = {}
         #: sessions with queued work, kept by the scheduler that owns the
         #: queues (batch-on-size reads it instead of scanning the cohort).
         self.queued = 0
-        #: the full slab; ``_sub`` is the persistent gather target for ticks
-        #: where only a subset of sessions has work (its scratch pool and
-        #: fused plan are reused whenever the same subset size recurs).
-        self._state = FilterState(scratch_cap_bytes=scratch_cap_bytes)
-        self._sub = FilterState(scratch_cap_bytes=scratch_cap_bytes)
-        self._ctx_cache: dict[int, ExecutionContext] = {}
-        self.use_fused = (config.execution == "compiled"
-                          and fused_envelope_ok(config))
-        self.timer = PhaseTimer()
-        self.kernel_hook = KernelTimingHook(tracer=tracer)
-        build = build_fused_pipeline if self.use_fused else build_vector_pipeline
-        self.pipeline = build(
-            hooks=[TimerHook(self.timer, tracer=tracer), self.kernel_hook])
-        if config.execution != "reference":
-            from repro.kernels.registry import default_registry
-
-            self.exec_policy.warm_up(default_registry())
         self.steps = 0
 
     def __len__(self) -> int:
@@ -118,7 +82,9 @@ class Cohort:
     # -- membership ----------------------------------------------------------
     def attach(self, sess: FilterSession) -> None:
         """Append *sess*'s population as the slab's last block."""
-        sess.ensure_initialized(self.dtype_policy)
+        if sess.states is None:
+            sess.store_population(*prior_population(
+                self.model, self.config, sess.rng, self._round.dtype_policy))
         states, logw, widths = sess.take_population()
         st = self._state
         if st.states is None:
@@ -194,7 +160,7 @@ class Cohort:
                 None if st.widths is None else st.widths[b * X:(b + 1) * X])
 
     # -- stepping ------------------------------------------------------------
-    def _ctx_for(self, R: int) -> ExecutionContext:
+    def _ctx_for(self, R: int):
         ctx = self._ctx_cache.get(R)
         if ctx is None:
             X = self.X
@@ -203,16 +169,9 @@ class Cohort:
                 self._mask = self._table >= 0
                 for r, c in self._ctx_cache.items():
                     c.table, c.mask = self._table[:r * X], self._mask[:r * X]
-            ctx = ExecutionContext(
-                model=self.model, config=self.config.with_(n_filters=R * X),
-                rng=self.rng, resampler=self.resampler, policy=self.policy,
-                dtype=self.dtype_policy.state, topology=_BlockTopology(R * X),
-                table=self._table[:R * X], mask=self._mask[:R * X],
-                owner=None, alloc_policy=None, exec_policy=self.exec_policy,
-                dtype_policy=self.dtype_policy,
-                block_rows=X,
-            )
-            self._ctx_cache[R] = ctx
+            ctx = self._ctx_cache[R] = self._round.context(
+                config=self.config.with_(n_filters=R * X), table=self._table[:R * X],
+                mask=self._mask[:R * X], block_rows=X)
         return ctx
 
     @staticmethod

@@ -138,7 +138,8 @@ class SessionManager:
                 from repro.core.distributed import DistributedParticleFilter
 
                 sess.envelope_reason = reason
-                sess.solo = DistributedParticleFilter(sess.model, sess.config)
+                sess.solo = DistributedParticleFilter(
+                    sess.model, sess.config, tracer=self.tracer)
                 sess.solo.initialize()
             self._solo[sess.session_id] = sess
         self.sessions[sess.session_id] = sess

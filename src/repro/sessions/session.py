@@ -20,11 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.allocation import (
-    allocation_capacity,
-    make_allocation_policy,
-    pad_population,
-)
+from repro.allocation import make_allocation_policy
 from repro.core.parameters import DistributedFilterConfig
 from repro.prng.streams import make_rng
 
@@ -79,30 +75,6 @@ class FilterSession:
         self._widths: np.ndarray | None = None
 
     # -- population lifecycle ------------------------------------------------
-    def ensure_initialized(self, dtype_policy) -> None:
-        """Draw the prior population into detached storage if none exists.
-
-        Mirrors ``DistributedParticleFilter.initialize`` operation for
-        operation (same draws from the same stream, same padding under
-        adaptive allocation), so a freshly attached session starts exactly
-        where the standalone filter would.
-        """
-        if self._states is not None or self.cohort is not None:
-            return
-        cfg = self.config
-        flat = self.model.initial_particles(
-            cfg.total_particles, self.rng, dtype=dtype_policy.state)
-        states = np.ascontiguousarray(
-            flat.reshape(cfg.n_filters, cfg.n_particles, self.model.state_dim))
-        log_weights = np.zeros((cfg.n_filters, cfg.n_particles),
-                               dtype=dtype_policy.weight)
-        capacity = allocation_capacity(cfg)
-        widths = None
-        if capacity != cfg.n_particles:
-            states, log_weights = pad_population(states, log_weights, capacity)
-            widths = np.full(cfg.n_filters, cfg.n_particles, dtype=np.int64)
-        self._states, self._log_weights, self._widths = states, log_weights, widths
-
     def take_population(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """Hand the detached population over (ownership transfer)."""
         if self._states is None:

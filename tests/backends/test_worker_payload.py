@@ -12,6 +12,7 @@ import pytest
 
 from repro.backends import multiprocess
 from repro.core import DistributedFilterConfig
+from repro.engine import round as engine_round
 from repro.engine.state import FilterState
 from repro.models import LinearGaussianModel
 from repro.telemetry.tracer import spans_from_wire
@@ -55,7 +56,8 @@ class SpyState(FilterState):
 
 
 def run_worker(estimator, monkeypatch, rounds=2, trace=True):
-    monkeypatch.setattr(multiprocess, "FilterState", SpyState)
+    # The worker's state is built by its engine Round.
+    monkeypatch.setattr(engine_round, "FilterState", SpyState)
     SpyState.ess_writes = 0
     model = LinearGaussianModel(A=[[0.9]], C=[[1.0]], Q=[[0.04]], R=[[0.01]])
     config = DistributedFilterConfig(n_particles=M, n_filters=F, n_exchange=T,

@@ -7,8 +7,10 @@ import pytest
 
 from repro.backends import SequentialDistributedParticleFilter
 from repro.core import DistributedFilterConfig, DistributedParticleFilter
+from repro.kernels.registry import CostParams, kernel_cost_attrs
 from repro.models import LinearGaussianModel
-from repro.telemetry import reset_hook_error_warnings
+from repro.sessions import Cohort, FilterSession
+from repro.telemetry import Tracer, reset_hook_error_warnings
 
 
 def _model():
@@ -24,6 +26,34 @@ def _cfg(**kw):
 def _run(pf, steps=3):
     pf.initialize()
     return np.array([pf.step(np.array([0.1 * k])) for k in range(steps)])
+
+
+def _traced_filter(cls, steps=2):
+    pf = cls(_model(), _cfg())
+    pf.tracer.enabled = True
+    _run(pf, steps)
+    return pf.tracer.spans
+
+
+def _traced_cohort(steps=2, ready=(2, 2), **kw):
+    """A two-session cohort; tick ``k`` steps the first ``ready[k]``."""
+    tracer = Tracer(enabled=True)
+    cohort = Cohort("key", _model(), _cfg(**kw), tracer=tracer)
+    sessions = [FilterSession(f"s{i}", _model(), _cfg(seed=i, **kw)) for i in range(2)]
+    for sess in sessions:
+        cohort.attach(sess)
+    for k in range(steps):
+        r = ready[k]
+        cohort.step(sessions[:r], [np.array([0.1 * k])] * r)
+    return tracer.spans
+
+
+#: every owner of a round, traced for two steps.
+TRACED_OWNERS = {
+    "solo": lambda: _traced_filter(DistributedParticleFilter),
+    "oracle": lambda: _traced_filter(SequentialDistributedParticleFilter),
+    "cohort": _traced_cohort,
+}
 
 
 class RaisingHook:
@@ -67,17 +97,35 @@ class TestVectorizedTracing:
                  if s.kind == "stage" and s0.start <= s.start and s.end <= s0.end]
         assert inner
 
-    def test_kernel_spans_carry_cost_attrs(self):
-        pf = DistributedParticleFilter(_model(), _cfg())
-        pf.tracer.enabled = True
-        _run(pf)
-        kernels = [s for s in pf.tracer.spans if s.kind == "kernel"]
+    @pytest.mark.parametrize("owner", sorted(TRACED_OWNERS))
+    def test_kernel_spans_carry_cost_attrs(self, owner):
+        kernels = [s for s in TRACED_OWNERS[owner]() if s.kind == "kernel"]
         assert kernels
         costed = [s for s in kernels if s.attrs and "flops" in s.attrs]
-        assert costed, "registered kernels must carry CostSig-derived attrs"
+        assert len(costed) == len(kernels), \
+            "registered kernels must carry CostSig-derived attrs"
         for s in costed:
             assert s.attrs["flops"] >= 0
             assert {"bytes_read", "bytes_written", "launches"} <= set(s.attrs)
+
+    def test_cohort_kernels_are_costed_at_each_ticks_rows(self):
+        # Two sessions of F=4 rows step, then one: the sort is charged at
+        # 8 groups, then 4.
+        sorts = [s for s in _traced_cohort(ready=(2, 1))
+                 if s.kind == "kernel" and s.name == "sort"]
+        assert len(sorts) == 2
+        itemsize = np.dtype(_cfg().dtype).itemsize  # states, mixed policy
+        for span, rows in zip(sorts, (8, 4)):
+            params = CostParams(m=16, state_dim=1, n_groups=rows,
+                                dtype_bytes=itemsize, n_exchange=2)
+            assert span.attrs == kernel_cost_attrs("sort", params)
+
+    def test_compiled_cohort_step_spans_name_their_execution(self):
+        steps = [s for s in _traced_cohort(execution="compiled") if s.kind == "step"]
+        assert len(steps) == 2
+        for s in steps:
+            assert s.attrs["execution"] == "compiled"
+            assert s.attrs["dtype_policy"] == "mixed"
 
     def test_tracing_does_not_change_estimates(self):
         plain = _run(DistributedParticleFilter(_model(), _cfg()))

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import DistributedFilterConfig
 from repro.sessions import QueueFullError, SessionManager
+from repro.telemetry import Tracer
 from tests.sessions.helpers import measurements, scalar_model
 
 
@@ -42,6 +43,17 @@ class TestAdmission:
         mgr = manager_with(1)
         with pytest.raises(ValueError, match="still in a cohort"):
             SessionManager().readmit(mgr.sessions["s0"])
+
+    def test_manager_tracer_sees_out_of_envelope_sessions(self):
+        tracer = Tracer(enabled=True)
+        mgr = SessionManager(tracer=tracer)
+        sess = mgr.attach("rough", scalar_model(), cfg(roughening=0.1))
+        assert sess.solo is not None and sess.solo.tracer is tracer
+        for z in measurements(1, 2)[0]:
+            mgr.submit("rough", z)
+            mgr.tick()
+        steps = [s for s in tracer.spans if s.kind == "step"]
+        assert [s.name for s in steps] == ["step 0", "step 1"]
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError, match="on_full"):
