@@ -11,10 +11,11 @@ digits, so the policy splits the population into three roles:
   here; every named policy keeps reductions in double, which is what the
   float32 tolerance-parity suite leans on).
 
-``mixed`` is the historical behaviour — states at the config dtype,
-weights and reductions in float64 — and is therefore the default: a config
-that never mentions ``dtype_policy`` stays bit-identical to every golden
-trace recorded before the policy existed.
+``mixed`` is the default — states at the config dtype, weights and
+reductions in float64. Models draw their noise and do their own arithmetic
+at the state dtype, so a float32 population meets float64 only in its
+weights and reductions (the robot arm's float32 golden traces were re-pinned
+when it began to).
 """
 
 from __future__ import annotations

@@ -98,7 +98,7 @@ class DistributedFilterConfig:
     #: See :class:`repro.kernels.forms.ExecutionPolicy`.
     execution: str = "reference"
     #: per-role precision: ``"mixed"`` (states at ``dtype``, float64
-    #: log-weights and reductions — the historical behaviour), ``"float32"``
+    #: log-weights and reductions), ``"float32"``
     #: (float32 states *and* log-weights, float64 reductions) or
     #: ``"float64"`` (everything double). See :mod:`repro.core.dtypes`.
     dtype_policy: str = "mixed"

@@ -12,10 +12,10 @@ resample sequence fused into one kernel body that
   materializing the sorted ``(F, m, d)`` state array;
 - reads the global max-weight estimate off the sorted rows' leading column
   instead of re-scanning the full population;
-- inlines the roulette-wheel resampler's normalize → prefix sum into the
+- inlines the roulette-wheel resampler's prefix sum → normalize into the
   pool buffers and searches the row-shifted CDF with the same
   :func:`~repro.resampling.rws.search_shifted_cdf` the reference resampler
-  uses, with the end-of-row clip folded into the flat gather bounds;
+  uses;
 - preallocates every buffer, index table and array view in a per-shape
   :class:`_FusedPlan`, so the steady-state round is a straight line of
   ``out=``-form ufunc and ``.take`` calls with no wrappers, no allocation
@@ -50,8 +50,9 @@ from repro.engine.stage import ExecutionContext
 from repro.engine.state import FilterState
 from repro.engine import vector_stages
 from repro.kernels.exchange import route_pooled
+from repro.kernels.registry import stable_row_argsort
 from repro.metrics.timing import TimingRNG
-from repro.resampling.rws import search_shifted_cdf
+from repro.resampling.rws import search_shifted_cdf, shifted_key_bounds
 
 __all__ = [
     "FusedStepStage",
@@ -121,9 +122,9 @@ class _FusedPlan:
         "sel_flat", "send_states", "send_logw", "recv_states", "recv_logw",
         "recv_states4", "recv_logw3", "pool_states", "pool_own", "pool_recv",
         "pool_logw", "pool_logw_own", "pool_logw_recv", "ext", "ext_own",
-        "ext_flat", "w", "w_last", "row_max", "total",
+        "ext_flat", "w", "w_last", "key_top", "row_max", "total",
         "mapped", "spare",
-        "off_m", "off_f", "lo", "hi", "src", "all_valid", "pooled",
+        "off_m", "off_f", "lo", "src", "all_valid", "pooled",
         "t", "width", "pool_m",
     )
 
@@ -186,9 +187,9 @@ class _FusedPlan:
             self.ext[:, m:] = np.arange(m, pool_m, dtype=np.intp)
             self.ext_flat = self.ext.reshape(-1)
         self.w = np.empty((F, pool_m), dtype=np.float64)
-        self.w_last = self.w[:, -1]
+        self.w_last = self.w[:, -1:]
+        self.key_top = shifted_key_bounds(F)
         self.lo = (np.arange(F, dtype=np.intp) * pool_m).reshape(F, 1)
-        self.hi = self.lo + (pool_m - 1)
 
 
 def _get_plan(ctx: ExecutionContext, state: FilterState,
@@ -240,7 +241,7 @@ def fused_step_batch(ctx: ExecutionContext, state: FilterState) -> bool:
     #    resampler consumes them); the sorted *states* never are — the
     #    permutation is composed into the final resample gather instead. ----
     np.negative(logw, out=plan.neg)
-    order = plan.neg.argsort(axis=1, kind="stable")  # stable descending
+    order = stable_row_argsort(plan.neg)  # stable descending
     np.add(order, plan.off_m, out=plan.flat)
     sorted_logw = plan.sorted_logw
     logw_flat = plan.logw_flat
@@ -299,24 +300,22 @@ def fused_step_batch(ctx: ExecutionContext, state: FilterState) -> bool:
 
     # -- resample ("always" policy): every row draws m ancestors from its
     #    pooled weighted set via the inlined RWS kernel. Operation-for-
-    #    operation the reference path (float64 reduce regardless of the
-    #    carried weight dtype; normalize → prefix sum → row-shifted search
-    #    → clip), so the RNG consumption and the ancestor
-    #    indices are bit-identical. ----------------------------------------
+    #    operation the reference path (float64 weights regardless of the
+    #    carried weight dtype; prefix sum → divide by its last entry →
+    #    row-shifted search with keys held inside their rows), so the RNG
+    #    consumption and the ancestor indices are bit-identical. ----------
     w = plan.w
     row_max = pooled_logw.max(axis=1, keepdims=True, out=plan.row_max)
     np.subtract(pooled_logw, row_max, out=w)
     np.exp(w, out=w)
-    total = w.sum(axis=1, keepdims=True, out=plan.total)  # >= 1: exp(0) peak
-    np.divide(w, total, out=w)
     np.add.accumulate(w, axis=1, out=w)
-    plan.w_last.fill(1.0)
-    np.add(w, plan.off_f, out=w)  # row r's CDF shifted into (r, r+1]
+    np.copyto(plan.total, plan.w_last)  # >= 1: exp(0) peak
+    np.divide(w, plan.total, out=w)  # the CDF, clamped at 1.0
+    np.add(w, plan.off_f, out=w)  # row r's CDF shifted into [r, r+1]
     u = rng.uniform((F, m))
     np.add(u, plan.off_f, out=u)
+    np.minimum(u, plan.key_top, out=u)
     pos = search_shifted_cdf(w, u)
-    np.minimum(pos, plan.hi, out=pos)  # the RWS end-of-row clip, folded
-    np.maximum(pos, plan.lo, out=pos)  # into per-row flat bounds
     ext_flat.take(pos, out=plan.mapped, mode="clip")
     np.add(plan.mapped, plan.lo, out=plan.mapped)
     new_states = plan.spare

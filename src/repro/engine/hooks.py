@@ -94,15 +94,15 @@ class KernelTimingHook(StageHook):
     """Aggregates per-kernel wall time across backends.
 
     :meth:`~repro.engine.stage.ExecutionContext.invoke_kernel` appends
-    ``(kernel_name, elapsed, start)`` events to ``state.kernel_events``; this
+    ``(kernel_name, elapsed, start, rows)`` events to ``state.kernel_events``; this
     hook drains them at every stage end, so ``kernel_seconds``/
     ``kernel_calls`` accumulate uniformly whether the pipeline is vectorized,
     loop-based or a multiprocess worker's. With a tracer attached and
     enabled, every drained event additionally becomes a ``kernel`` span with
     its real timestamps — annotated with the registered cost signature's
     flops/bytes when ``cost_params`` (a callable mapping the drained
-    :class:`FilterState` to a :class:`~repro.kernels.registry.CostParams`)
-    is provided.
+    :class:`FilterState` and the call's row count, ``None`` for all rows,
+    to a :class:`~repro.kernels.registry.CostParams`) is provided.
     """
 
     def __init__(self, tracer=None, cost_params=None):
@@ -112,10 +112,10 @@ class KernelTimingHook(StageHook):
         self.cost_params = cost_params
         self._attr_cache: dict[tuple, dict | None] = {}
 
-    def _cost_attrs(self, name: str, state: FilterState) -> dict | None:
+    def _cost_attrs(self, name: str, state: FilterState, rows) -> dict | None:
         if self.cost_params is None:
             return None
-        params = self.cost_params(state)
+        params = self.cost_params(state, rows)
         # Keyed by (name, m, n_groups): the live width moves between rounds
         # under adaptive allocation, and a cohort's row count between ticks;
         # each kernel is charged at the shape it actually ran at.
@@ -136,10 +136,10 @@ class KernelTimingHook(StageHook):
             name, elapsed = event[0], event[1]
             self.kernel_seconds[name] = self.kernel_seconds.get(name, 0.0) + elapsed
             self.kernel_calls[name] = self.kernel_calls.get(name, 0) + 1
-            if tracing and len(event) > 2:
+            if tracing:
                 start = event[2]
                 tracer.add(name, "kernel", start, start + elapsed,
-                           attrs=self._cost_attrs(name, state))
+                           attrs=self._cost_attrs(name, state, event[3]))
         events.clear()
 
     def on_stage_end(self, name: str, state: FilterState, elapsed: float) -> None:

@@ -118,7 +118,7 @@ class LoopSortStage:
         for f in range(ctx.config.n_filters):
             # One row at a time through the registered sort kernel — the
             # same stable descending argsort the vectorized stage uses.
-            order = ctx.invoke_kernel(state, "sort", state.log_weights[f][None, :])[0]
+            order = ctx.invoke_kernel(state, "sort", state.log_weights[f][None, :], rows=1)[0]
             state.states[f] = state.states[f][order]
             state.log_weights[f] = state.log_weights[f][order]
 

@@ -80,6 +80,10 @@ class Round:
     alloc_policy:
         the owner's allocation policy; with one, a non-fused round also
         publishes allocation telemetry.
+    alloc_metrics:
+        ``False`` keeps the resample stage from capturing the allocation
+        metrics; with ``True`` it captures them only when a reader exists
+        (an adaptive allocation or the telemetry hook).
     """
 
     def __init__(self, model, config, rng, *, stages="vector", owner=None,
@@ -119,9 +123,13 @@ class Round:
                                         span_attrs=span_attrs), self.kernel_hook]
         self.fused = (stages == "vector"
                       and fused_pipeline_applicable(self if owner is None else owner))
-        if alloc_policy is not None and not self.fused:
+        telemetry = alloc_policy is not None and not self.fused
+        if telemetry:
             # The fused envelope fixes the allocation: nothing to report.
             self.hooks.append(AllocationTelemetryHook(tracer=self.tracer))
+        # The resample stage captures the allocation metrics only for a
+        # reader: an adaptive policy's allocate stage or the telemetry hook.
+        self.ctx.alloc_metrics = alloc_metrics and (telemetry or config.allocation != "fixed")
         self.pipeline = None
         if stages == "loop":
             self.pipeline = build_loop_pipeline(hooks=self.hooks)
@@ -132,14 +140,15 @@ class Round:
             # Compile (numba, when present) now, so no timed step pays it.
             self.exec_policy.warm_up(default_registry())
 
-    def cost_params(self, state: FilterState) -> CostParams:
+    def cost_params(self, state: FilterState, rows=None) -> CostParams:
         """The shape a kernel drained from *state* is charged at: one group
-        per row, at the mean live width under adaptive allocation."""
-        rows = state.log_weights.shape[0]
+        per row it ran on (*rows*, or all of the state's), at the mean live
+        width under adaptive allocation."""
+        n_rows = state.log_weights.shape[0]
         m = self.config.n_particles
         if state.widths is not None:
-            m = max(1, round(state.live_particles / rows))
-        return CostParams(m=m, state_dim=self.model.state_dim, n_groups=rows,
+            m = max(1, round(state.live_particles / n_rows))
+        return CostParams(m=m, state_dim=self.model.state_dim, n_groups=rows or n_rows,
                           dtype_bytes=self.dtype.itemsize,
                           n_exchange=self.config.n_exchange)
 

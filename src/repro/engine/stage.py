@@ -84,7 +84,8 @@ class ExecutionContext:
     #: float64 weights and reductions).
     dtype_policy: object = None
     #: resampling stashes pre-resample ESS / mass share for the allocation
-    #: stage and telemetry hook; workers, which run neither, turn this off.
+    #: stage and telemetry hook; a round where neither reads them (a worker,
+    #: a fixed-allocation cohort) turns this off.
     alloc_metrics: bool = True
     #: rows per independent filter: a session cohort stacks ``F //
     #: block_rows`` filters, and heal's donor scan, the estimate, the mass
@@ -132,20 +133,23 @@ class ExecutionContext:
             self._form_cache[name] = impl
         return impl
 
-    def invoke_kernel(self, state: FilterState, name: str, *args, **kwargs):
-        """Run a registered kernel and record ``(name, elapsed, start)``.
+    def invoke_kernel(self, state: FilterState, name: str, *args, rows=None, **kwargs):
+        """Run a registered kernel and record ``(name, elapsed, start, rows)``.
 
         Pure routing — the returned value is exactly what the selected
         implementation returns — plus a timing event appended to
         ``state.kernel_events``, which a
         :class:`~repro.engine.hooks.KernelTimingHook` drains into per-kernel
         seconds (and, when tracing, kernel spans with real timestamps) on
-        every backend uniformly. Which implementation runs is decided by
-        the context's :class:`~repro.kernels.forms.ExecutionPolicy` (see
+        every backend uniformly. *rows* is the number of sub-filter rows the
+        call covers when that is not all of the state's (the loop oracle
+        sorts one row per call); the span is costed at that many groups.
+        Which implementation runs is decided by the context's
+        :class:`~repro.kernels.forms.ExecutionPolicy` (see
         :meth:`kernel_impl`); the event contract is form-independent.
         """
         impl = self.kernel_impl(name)
         start = time.perf_counter()
         out = impl(*args, **kwargs)
-        state.kernel_events.append((name, time.perf_counter() - start, start))
+        state.kernel_events.append((name, time.perf_counter() - start, start, rows))
         return out

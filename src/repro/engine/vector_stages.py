@@ -418,7 +418,7 @@ def allocate(ctx: ExecutionContext, state: FilterState) -> None:
             migrated = int(ctx.invoke_kernel(
                 state, "migrate_resize", state.states[blk], state.log_weights[blk],
                 widths[blk], new_w, state.pooled_states[blk], state.pooled_logw[blk],
-                resampled[blk], ctx.resampler, ctx.rng,
+                resampled[blk], ctx.resampler, ctx.rng, rows=X,
             ))
         changed = int((new_w != widths[blk]).sum())
         new_all[blk] = new_w

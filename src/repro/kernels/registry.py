@@ -325,17 +325,22 @@ class KernelRegistry:
 # ---------------------------------------------------------------------------
 
 
-def weight_argsort_batch(log_weights: np.ndarray) -> np.ndarray:
-    """Stable descending row-wise argsort — the engine's production sort.
+#: Below this many keys the stable argsort alone beats the SIMD argsort
+#: plus its tie check (2-vCPU Xeon, NumPy 2.4.6, best of 15: 64x32 keys
+#: 14 against 26 us, 128x16 10 against 31 us; 128x32 79 against 46 us,
+#: 256x64 423 against 139 us).
+STABLE_ARGSORT_MAX_KEYS = 4096
 
-    Functionally a descending bitonic sort per sub-filter; the stable
-    tie-break is part of the engine's reproducibility contract (golden
-    traces), which is why this — and not the bitonic network — is the
-    registered batch form of ``sort``. Rows of distinct finite keys keep the
-    default (SIMD) argsort, as their only sorting order is the stable one.
+
+def stable_row_argsort(keys: np.ndarray) -> np.ndarray:
+    """Row-wise ascending argsort of ``(F, m)`` *keys* in the stable order.
+
+    A row of distinct keys has one sorting order, the stable one, so from
+    :data:`STABLE_ARGSORT_MAX_KEYS` keys up every row takes the default
+    (SIMD) argsort and only rows with a tie (or a NaN, which compares
+    unequal to everything) are re-sorted stably.
     """
-    keys = -np.atleast_2d(log_weights)
-    if not np.isfinite(keys).all():
+    if keys.size < STABLE_ARGSORT_MAX_KEYS:
         return keys.argsort(axis=1, kind="stable")
     order = keys.argsort(axis=1)
     ordered = np.sort(keys, axis=1)
@@ -343,6 +348,17 @@ def weight_argsort_batch(log_weights: np.ndarray) -> np.ndarray:
     if redo.any():
         order[redo] = keys[redo].argsort(axis=1, kind="stable")
     return order
+
+
+def weight_argsort_batch(log_weights: np.ndarray) -> np.ndarray:
+    """Stable descending row-wise argsort — the engine's production sort.
+
+    Functionally a descending bitonic sort per sub-filter; the stable
+    tie-break is part of the engine's reproducibility contract (golden
+    traces), which is why this — and not the bitonic network — is the
+    registered batch form of ``sort`` (see :func:`stable_row_argsort`).
+    """
+    return stable_row_argsort(-np.atleast_2d(log_weights))
 
 
 def _assert_bit_equal(expected: np.ndarray, got: np.ndarray, inputs: dict[str, Any]) -> None:

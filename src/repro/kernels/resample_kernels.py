@@ -42,9 +42,12 @@ def _hillis_steele_inclusive_scan(wg: WorkGroup, values: np.ndarray) -> np.ndarr
 def rws_workgroup(wg: WorkGroup, weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Roulette Wheel Selection by one work group (one lane per particle).
 
-    Initialization: parallel prefix sum of the weights. Generation: each lane
-    scales its uniform by the total weight and binary-searches the cumulative
-    array (Theta(log n) lock-step gathers, bank conflicts billed naturally).
+    Initialization: parallel prefix sum of the weights, each lane dividing
+    its entry by the total and clamping it at 1.0 (the tree-ordered scan
+    may round a partial sum above the total); a group with no finite
+    positive total draws uniformly, as the batch form does. Generation:
+    each lane binary-searches the clamped CDF for its uniform (Theta(log n)
+    lock-step gathers, bank conflicts billed naturally).
     """
     n = wg.size
     check_power_of_two(n, "group size")
@@ -53,19 +56,22 @@ def rws_workgroup(wg: WorkGroup, weights: np.ndarray, uniforms: np.ndarray) -> n
     if weights.size != n or uniforms.size != n:
         raise ValueError("one weight and one uniform per lane required")
     cum_vals = _hillis_steele_inclusive_scan(wg, weights)
+    total = cum_vals[n - 1]
+    if not (np.isfinite(total) and total > 0):
+        cum_vals, total = (wg.lane + 1).astype(np.float64), float(n)
+    cdf_vals = np.minimum(cum_vals / total, 1.0)
+    wg.op()
     cum = wg.local_array(n)
-    cum.scatter(wg.lane, cum_vals)
+    cum.scatter(wg.lane, cdf_vals)
     wg.barrier()
-    total = cum[n - 1]
-    target = uniforms * total
-    # Binary search: find the first index with cum[idx] > target.
+    # Binary search: find the first index with cdf[idx] > u.
     lo = np.zeros(n, dtype=np.int64)
     hi = np.full(n, n - 1, dtype=np.int64)
     steps = int(np.log2(n)) + 1
     for _ in range(steps):
         mid = (lo + hi) // 2
         vals = cum.gather(mid)
-        go_right = vals <= target
+        go_right = vals <= uniforms
         lo = wg.select(go_right, mid + 1, lo)
         hi = wg.select(go_right, hi, mid)
         wg.op()

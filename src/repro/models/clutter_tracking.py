@@ -66,7 +66,7 @@ class ClutterTrackingModel(StateSpaceModel):
     def transition(self, states: np.ndarray, control, k: int, rng: FilterRNG) -> np.ndarray:
         states = np.asarray(states)
         out = states.copy()
-        noise = rng.normal(states.shape, dtype=np.float64).astype(states.dtype, copy=False)
+        noise = rng.normal(states.shape, dtype=states.dtype)
         out[..., :2] += self.h_s * states[..., 2:] + self.sigma_pos * noise[..., :2]
         out[..., 2:] += self.sigma_vel * noise[..., 2:]
         return out

@@ -52,8 +52,8 @@ def joint_major(angles: np.ndarray) -> np.ndarray:
 
 
 def _chain(theta: np.ndarray, link_lengths: np.ndarray):
-    """``(c0, s0, cos phi, sin phi, r, h)``: trig at the angles' dtype, link sums in float64."""
-    link_lengths = np.asarray(link_lengths, dtype=np.float64)
+    """``(c0, s0, cos phi, sin phi, r, h)``: trig and link sums at the angles' dtype."""
+    link_lengths = np.asarray(link_lengths, dtype=theta.dtype if theta.dtype.kind == "f" else np.float64)
     K = theta.shape[0]
     if link_lengths.shape != (K,):
         raise ValueError(f"need {K} link lengths, got shape {link_lengths.shape}")

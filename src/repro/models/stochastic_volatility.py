@@ -43,7 +43,7 @@ class StochasticVolatilityModel(StateSpaceModel):
 
     def transition(self, states: np.ndarray, control, k: int, rng: FilterRNG) -> np.ndarray:
         states = np.asarray(states)
-        noise = rng.normal(states.shape, dtype=np.float64).astype(states.dtype, copy=False)
+        noise = rng.normal(states.shape, dtype=states.dtype)
         return self.mu + self.phi * (states - self.mu) + self.sigma * noise
 
     def log_likelihood(self, states: np.ndarray, measurement: np.ndarray, k: int) -> np.ndarray:

@@ -36,7 +36,7 @@ class UNGMModel(StateSpaceModel):
 
     def transition(self, states: np.ndarray, control, k: int, rng: FilterRNG) -> np.ndarray:
         states = np.asarray(states)
-        noise = rng.normal(states.shape, dtype=np.float64).astype(states.dtype, copy=False)
+        noise = rng.normal(states.shape, dtype=states.dtype)
         return self._drift(states, k) + self.sigma_w * noise
 
     def log_likelihood(self, states: np.ndarray, measurement: np.ndarray, k: int) -> np.ndarray:

@@ -165,6 +165,10 @@ class NumpyRNG(FilterRNG):
         return u if dtype is np.float64 else _narrow_uniform(u, dtype)
 
     def normal(self, shape, dtype=np.float64) -> np.ndarray:
+        # float32 normals come from NumPy's float32 ziggurat: no float64
+        # draw and no cast pass. Other dtypes draw float64 and cast.
+        if np.dtype(dtype) == np.float32:
+            return self._gen.standard_normal(size=shape, dtype=np.float32)
         return self._gen.standard_normal(size=shape).astype(dtype, copy=False)
 
     def spawn(self, stream: int) -> "NumpyRNG":
@@ -187,8 +191,9 @@ class _RowStripe:
 
     Stream ``j`` owns rows ``[lo_j, hi_j)`` of every draw and fills them
     with its own ``Generator`` through ``out=``: the same values, in the
-    same stream order, as a ``(hi_j - lo_j,) + tail`` draw of that stream,
-    but with no per-stream allocation, copy or Python-level RNG call.
+    same stream order, as a ``(hi_j - lo_j,) + tail`` draw of that stream
+    at the same dtype (float32 normals included), but with no per-stream
+    allocation, copy or Python-level RNG call.
     """
 
     __slots__ = ("_blocks",)
@@ -202,10 +207,10 @@ class _RowStripe:
             gen.random(out=out[lo:hi])
         return out
 
-    def standard_normal(self, size):
-        out = np.empty(size)
+    def standard_normal(self, size, dtype=np.float64):
+        out = np.empty(size, dtype=dtype)
         for gen, lo, hi in self._blocks:
-            gen.standard_normal(out=out[lo:hi])
+            gen.standard_normal(out=out[lo:hi], dtype=dtype)
         return out
 
 
@@ -231,10 +236,10 @@ class _EqualRowStripe:
             gen.random(out=block)
         return out
 
-    def standard_normal(self, size):
-        out = np.empty(size)
+    def standard_normal(self, size, dtype=np.float64):
+        out = np.empty(size, dtype=dtype)
         for gen, block in self._blocks(out):
-            gen.standard_normal(out=block)
+            gen.standard_normal(out=block, dtype=dtype)
         return out
 
 

@@ -4,10 +4,14 @@ The other golden traces (``test_golden_trace.py``) run only
 :class:`~repro.models.LinearGaussianModel`. These hex traces pin
 :class:`~repro.models.RobotArmModel` end to end, controls included: the
 truth simulation, the transition's noise, control and velocity updates, the
-likelihood, and the exchange's top-t selection. They were dumped before the
-transition's column-wise updates and the sliced top-t replaced the broadcast
-forms, so they show that rewrite changes no bit, on the reference stages
-under two dtype policies and on the compiled (fused) round.
+likelihood, and the exchange's top-t selection, on the reference stages
+under two dtype policies and on the compiled (fused) round. The
+``reference-float64`` trace was dumped before the transition's column-wise
+updates and the sliced top-t replaced the broadcast forms, and it has not
+moved since. The two float32-state traces (``reference-mixed``,
+``compiled``) were re-pinned once when the transition began drawing its
+noise and adding its controls at the state dtype; the float32 likelihood
+and the clamped RWS CDF that came with that change move neither.
 """
 
 import numpy as np
@@ -31,33 +35,33 @@ CASES = {
 # little-endian bytes.
 GOLDEN = {
     "compiled": (
-        "000000c0a5e9ce3f000000a07c6fbabf000000403ccfc83f000000a04002d33f"
-        "000000c0e4eddc3f00000000e095e73f00000020fbb1b7bf0000008008fdd6bf"
-        "000000c03ab2d13f000000c061f2ce3f000000608105973f000000c05ab0a5bf"
-        "000000a0cae6c73f00000080882ec9bf000000806f60f23f000000c0856ea5bf"
-        "000000201ef2cbbf00000000829c653f000000205993cd3f000000e0604a7ebf"
-        "000000a05fa1c4bf00000040f4f3e33f00000080e2a38a3f000000003331e23f"
-        "000000609dd2be3f0000008091a1a7bf000000408130b93f000000609556d23f"
-        "000000002311b93f000000e010e5c7bf000000203a73e13f000000e08a0dc63f"
-        "000000608799e43f00000060a92ed13f000000804b5ea8bf00000040c623c43f"
-        "00000020b40ed53f000000c0e929b53f00000020799e723f000000e00f8ae03f"
-        "000000c09123c53f000000e08f72e93f000000405f9fc93f000000c0c73adebf"
-        "00000040e566dbbf000000c0f32ed23f00000040d7dfa93f000000802dd4ba3f"
-        "000000a0b31be33f00000020f477c73f00000000f8b2e93f00000080229cb83f"
-        "000000200a68e0bf00000040dd31d8bf00000060f808e13f000000200ca1a0bf"
-        "000000e0e916c13f000000608058e43f000000e01970c23f000000c09508e63f"
-        "00000080cef1d43f00000060a4fdd5bf000000403a36cfbf000000604c55d63f"
-        "00000000988bbbbf0000000058d3da3f00000020d768e03f00000000faa7b03f"
-        "000000202c73e73f00000060caa8ba3f000000803c87ddbf000000e034f1d4bf"
-        "000000403c23d33f0000002023d1b5bf000000e0b2a3d23f000000004285dc3f"
-        "0000000096fbaf3f000000e0483be73f000000c0779dcf3f000000208fc6b6bf"
-        "00000000a0eebbbf000000809b67e23f000000c0516fd3bf000000200766d43f"
-        "0000000028d6da3f000000c0db2fc83f000000607ea3e93f0000006098d5d63f"
-        "000000805ba6d63f000000407eefa33f000000e08651e53f00000080e618d3bf"
-        "00000020d52ad83f000000809cecd93f0000004091cec63f000000a0cae8ea3f"
-        "000000c025f1cb3f000000a01cfcd63f000000601f14a13f00000000cf8edb3f"
-        "000000c0889bc4bf0000004023bed13f00000000c653e03f000000207fc7d43f"
-        "00000020ead9ea3f00000020759fd03f000000c00beea93f000000800291c3bf"
+        "000000a0dc3fa83f000000c025aca2bf000000409425c83f00000080b038cc3f"
+        "000000c06a98c43f0000000069deed3f000000e0fca7d1bf000000c0ab54cfbf"
+        "00000080668bd13f000000407452d33f00000080ad0e9c3f000000401750babf"
+        "000000608332d83f00000060662cb13f000000808538c23f0000002068eac6bf"
+        "000000e0ace5b4bf000000201df5c13f000000e0bfe3d23f000000e08659bf3f"
+        "000000603861b1bf000000c089ace33f000000c018d59cbf00000000bc3fde3f"
+        "00000040ba06b63f00000020ca0dc23f00000000d3db77bf000000e0854ac23f"
+        "000000200652b53f00000060dd49abbf00000000625ce03f00000040efefc23f"
+        "000000202e0cef3f00000040ec1c843f00000040eb3fa5bf0000000005e0823f"
+        "00000040e8aed83f00000080be56813f000000405952b5bf000000007a6cdf3f"
+        "000000e0b9d2c83f00000060a926ea3f00000080a719d13f00000080b10ad53f"
+        "000000e0300db3bf000000009635d63f000000e07f9ca9bf00000000b86a8dbf"
+        "000000a0b7abe33f000000e006d2c93f00000020b6c8f13f000000a0f479c63f"
+        "00000080a7d3a93f00000040dce2cfbf000000609fedd73f000000008b3a8d3f"
+        "00000040a236c03f000000c08510e73f000000e08247c43f000000e0b083ee3f"
+        "00000080f7b4ca3f000000809661adbf000000000dfad7bf000000201154d73f"
+        "000000a0ffaab9bf000000e09eb3c83f00000060e0ebda3f000000c04208bd3f"
+        "000000401432f13f000000c0c493c03f00000080de0fe43f000000e0cc2fd1bf"
+        "00000020eef2cf3f00000000b2bab1bf000000809369c83f000000608611e13f"
+        "000000c07b1bb03f000000c0b93af13f00000060f65dc73f000000e04f4fe63f"
+        "0000006017c7c1bf000000e09f75dd3f000000001a4bcabf000000009e25c43f"
+        "000000e0551fe13f000000a08fa3b43f000000601d02ef3f0000004041ebd43f"
+        "00000040edf6b63f00000060ef62ddbf000000a0b13de23f000000000970d1bf"
+        "000000e0d0adcd3f00000000c00eda3f000000e0d7d5d23f000000004315f03f"
+        "000000a0087fd83f000000c0b3c0c53f000000e0fa50d7bf000000c00417db3f"
+        "000000604d1cccbf0000006014efd73f000000205b0ae13f000000e05b88d23f"
+        "000000801242ef3f0000002021b5df3f000000e0e688c93f00000040bd70d1bf"
     ),
     "reference-float64": (
         "56156cc4a5e9ce3ff1d513947c6fbabfec432b523ccfc83ff3bdc1aa4002d33f"
@@ -89,33 +93,33 @@ GOLDEN = {
         "1d8730f3e9d9ea3f9da4eb03759fd03f04dfb8010ceea93f9e6825b90291c3bf"
     ),
     "reference-mixed": (
-        "000000c0a5e9ce3f000000a07c6fbabf000000403ccfc83f000000a04002d33f"
-        "000000c0e4eddc3f00000000e095e73f00000020fbb1b7bf0000008008fdd6bf"
-        "000000c03ab2d13f000000c061f2ce3f000000608105973f000000c05ab0a5bf"
-        "000000a0cae6c73f00000080882ec9bf000000806f60f23f000000c0856ea5bf"
-        "000000201ef2cbbf00000000829c653f000000205993cd3f000000e0604a7ebf"
-        "000000a05fa1c4bf00000040f4f3e33f00000080e2a38a3f000000003331e23f"
-        "000000609dd2be3f0000008091a1a7bf000000408130b93f000000609556d23f"
-        "000000002311b93f000000e010e5c7bf000000203a73e13f000000e08a0dc63f"
-        "000000608799e43f00000060a92ed13f000000804b5ea8bf00000040c623c43f"
-        "00000020b40ed53f000000c0e929b53f00000020799e723f000000e00f8ae03f"
-        "000000c09123c53f000000e08f72e93f000000405f9fc93f000000c0c73adebf"
-        "00000040e566dbbf000000c0f32ed23f00000040d7dfa93f000000802dd4ba3f"
-        "000000a0b31be33f00000020f477c73f00000000f8b2e93f00000080229cb83f"
-        "000000200a68e0bf00000040dd31d8bf00000060f808e13f000000200ca1a0bf"
-        "000000e0e916c13f000000608058e43f000000e01970c23f000000c09508e63f"
-        "00000080cef1d43f00000060a4fdd5bf000000403a36cfbf000000604c55d63f"
-        "00000000988bbbbf0000000058d3da3f00000020d768e03f00000000faa7b03f"
-        "000000202c73e73f00000060caa8ba3f000000803c87ddbf000000e034f1d4bf"
-        "000000403c23d33f0000002023d1b5bf000000e0b2a3d23f000000004285dc3f"
-        "0000000096fbaf3f000000e0483be73f000000c0779dcf3f000000208fc6b6bf"
-        "00000000a0eebbbf000000809b67e23f000000c0516fd3bf000000200766d43f"
-        "0000000028d6da3f000000c0db2fc83f000000607ea3e93f0000006098d5d63f"
-        "000000805ba6d63f000000407eefa33f000000e08651e53f00000080e618d3bf"
-        "00000020d52ad83f000000809cecd93f0000004091cec63f000000a0cae8ea3f"
-        "000000c025f1cb3f000000a01cfcd63f000000601f14a13f00000000cf8edb3f"
-        "000000c0889bc4bf0000004023bed13f00000000c653e03f000000207fc7d43f"
-        "00000020ead9ea3f00000020759fd03f000000c00beea93f000000800291c3bf"
+        "000000a0dc3fa83f000000c025aca2bf000000409425c83f00000080b038cc3f"
+        "000000c06a98c43f0000000069deed3f000000e0fca7d1bf000000c0ab54cfbf"
+        "00000080668bd13f000000407452d33f00000080ad0e9c3f000000401750babf"
+        "000000608332d83f00000060662cb13f000000808538c23f0000002068eac6bf"
+        "000000e0ace5b4bf000000201df5c13f000000e0bfe3d23f000000e08659bf3f"
+        "000000603861b1bf000000c089ace33f000000c018d59cbf00000000bc3fde3f"
+        "00000040ba06b63f00000020ca0dc23f00000000d3db77bf000000e0854ac23f"
+        "000000200652b53f00000060dd49abbf00000000625ce03f00000040efefc23f"
+        "000000202e0cef3f00000040ec1c843f00000040eb3fa5bf0000000005e0823f"
+        "00000040e8aed83f00000080be56813f000000405952b5bf000000007a6cdf3f"
+        "000000e0b9d2c83f00000060a926ea3f00000080a719d13f00000080b10ad53f"
+        "000000e0300db3bf000000009635d63f000000e07f9ca9bf00000000b86a8dbf"
+        "000000a0b7abe33f000000e006d2c93f00000020b6c8f13f000000a0f479c63f"
+        "00000080a7d3a93f00000040dce2cfbf000000609fedd73f000000008b3a8d3f"
+        "00000040a236c03f000000c08510e73f000000e08247c43f000000e0b083ee3f"
+        "00000080f7b4ca3f000000809661adbf000000000dfad7bf000000201154d73f"
+        "000000a0ffaab9bf000000e09eb3c83f00000060e0ebda3f000000c04208bd3f"
+        "000000401432f13f000000c0c493c03f00000080de0fe43f000000e0cc2fd1bf"
+        "00000020eef2cf3f00000000b2bab1bf000000809369c83f000000608611e13f"
+        "000000c07b1bb03f000000c0b93af13f00000060f65dc73f000000e04f4fe63f"
+        "0000006017c7c1bf000000e09f75dd3f000000001a4bcabf000000009e25c43f"
+        "000000e0551fe13f000000a08fa3b43f000000601d02ef3f0000004041ebd43f"
+        "00000040edf6b63f00000060ef62ddbf000000a0b13de23f000000000970d1bf"
+        "000000e0d0adcd3f00000000c00eda3f000000e0d7d5d23f000000004315f03f"
+        "000000a0087fd83f000000c0b3c0c53f000000e0fa50d7bf000000c00417db3f"
+        "000000604d1cccbf0000006014efd73f000000205b0ae13f000000e05b88d23f"
+        "000000801242ef3f0000002021b5df3f000000e0e688c93f00000040bd70d1bf"
     ),
 }
 

@@ -120,6 +120,19 @@ class TestVectorizedTracing:
                                 dtype_bytes=itemsize, n_exchange=2)
             assert span.attrs == kernel_cost_attrs("sort", params)
 
+    def test_oracle_sort_is_costed_at_the_rows_each_call_sorts(self):
+        # The oracle sorts one row per kernel call; its per-step sort bytes
+        # must add up to the vectorized filter's one call over all F rows.
+        def sort_bytes(cls):
+            pf = cls(_model(), _cfg(n_particles=8, n_filters=4))
+            pf.tracer.enabled = True
+            _run(pf, steps=1)
+            sorts = [s for s in pf.tracer.spans if s.kind == "kernel" and s.name == "sort"]
+            return len(sorts), sum(s.attrs["bytes_read"] for s in sorts)
+
+        assert sort_bytes(DistributedParticleFilter) == (1, 256)
+        assert sort_bytes(SequentialDistributedParticleFilter) == (4, 256)
+
     def test_compiled_cohort_step_spans_name_their_execution(self):
         steps = [s for s in _traced_cohort(execution="compiled") if s.kind == "step"]
         assert len(steps) == 2

@@ -16,6 +16,7 @@ from repro.kernels import (
     default_registry,
     weight_argsort_batch,
 )
+from repro.kernels.registry import STABLE_ARGSORT_MAX_KEYS, stable_row_argsort
 
 REG = default_registry()
 VALIDATABLE = REG.validatable()
@@ -131,6 +132,24 @@ def test_weight_argsort_matches_stable_argsort(F, m, seed, kinds, dtype):
     lw = _sort_rows(np.random.default_rng(seed), F, m, kinds).astype(dtype)
     np.testing.assert_array_equal(
         weight_argsort_batch(lw), np.argsort(-lw, axis=1, kind="stable"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    F=st.integers(min_value=1, max_value=70),
+    m=st.integers(min_value=2, max_value=70),
+    seed=st.integers(min_value=0, max_value=2**31),
+    kinds=st.lists(st.sampled_from(["distinct", "ties", "nan", "zeros", "padded"]),
+                   min_size=70, max_size=70),
+)
+def test_tie_checked_sort_matches_stable_argsort(F, m, seed, kinds):
+    # The same rows, repeated up to the size where the SIMD argsort and its
+    # tie check take over from the stable sort.
+    lw = _sort_rows(np.random.default_rng(seed), F, m, kinds)
+    keys = np.tile(-lw, (-(-STABLE_ARGSORT_MAX_KEYS // lw.size), 1))
+    assert keys.size >= STABLE_ARGSORT_MAX_KEYS
+    np.testing.assert_array_equal(stable_row_argsort(keys),
+                                  np.argsort(keys, axis=1, kind="stable"))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.bench.harness import arm_truth
+from repro.core import DistributedFilterConfig, DistributedParticleFilter
 from repro.models import RobotArmModel, RobotArmParams, lemniscate, simulate_arm_tracking
 from repro.prng import make_rng
 
@@ -80,22 +82,23 @@ def test_transition_draws_once_and_matches_reference(dtype, tol):
     u = m.control_at(5)
     rng, twin = make_rng("numpy", seed=8), make_rng("numpy", seed=8)
     y = m.transition(states, u, 5, rng)
-    noise = twin.normal(states.shape, dtype=np.float64)
-    # Exactly one normal(states.shape) draw: both generators are in step.
+    noise = twin.normal(states.shape, dtype=dtype)
+    # Exactly one normal(states.shape) draw at the state dtype: both
+    # generators are in step.
     assert rng.state_dict() == twin.state_dict()
     assert y.shape == states.shape and y.dtype == dtype
     np.testing.assert_allclose(y, _reference_transition(m, states, u, noise), rtol=0, atol=tol)
 
 
 def _broadcast_transition(m, states, control, rng):
-    """The transition as broadcast column updates, kept verbatim as an oracle
-    for the column-wise form: it must agree to the last bit."""
+    """The transition as broadcast column updates at the state dtype, kept as
+    an oracle for the column-wise form: it must agree to the last bit."""
     h, K = m.params.h_s, m.n_joints
     states = np.asarray(states)
-    out = np.multiply(rng.normal(states.shape, dtype=np.float64), m.process_sigma, dtype=states.dtype)
+    out = np.multiply(rng.normal(states.shape, dtype=states.dtype), m.process_sigma, dtype=states.dtype)
     out += states
     if control is not None:
-        out[..., :K] += h * np.asarray(control)
+        out[..., :K] += (h * np.asarray(control)).astype(states.dtype)
     out[..., K : K + 2] += h * states[..., K + 2 : K + 4]
     return out
 
@@ -229,3 +232,51 @@ def test_self_consistent_simulate():
     gt = m.simulate(30, make_rng("numpy", seed=7))
     assert gt.states.shape == (30, 9)
     assert np.isfinite(gt.states).all() and np.isfinite(gt.measurements).all()
+
+
+def _arm_filter(dtype_policy, seed, **kw):
+    base = dict(n_particles=16, n_filters=8, topology="ring", n_exchange=1,
+                seed=seed, dtype_policy=dtype_policy)
+    base.update(kw)
+    pf = DistributedParticleFilter(RobotArmModel(), DistributedFilterConfig(**base))
+    pf.initialize()
+    return pf
+
+
+def test_mixed_policy_tracks_as_well_as_float64():
+    # The mixed policy draws float32 noise and runs the kinematics at
+    # float32; its object-position RMSE against the truth stays within the
+    # float32 budget of the float64 policy's (tests/engine/test_fused.py).
+    model = RobotArmModel()
+    rmse = {}
+    for policy in ("float64", "mixed"):
+        errs = []
+        for seed in (1, 2, 3):
+            truth = arm_truth(40, seed=10 + seed, model=model)
+            pf = _arm_filter(policy, seed, n_particles=32, n_filters=16)
+            assert pf.states.dtype == (np.float32 if policy == "mixed" else np.float64)
+            errs += [model.estimate_error(pf.step(truth.measurements[k], truth.controls[k]),
+                                          truth.states[k]) for k in range(40)]
+        rmse[policy] = float(np.sqrt(np.mean(np.square(errs))))
+    assert rmse["mixed"] <= rmse["float64"] * 1.25 + 0.05, rmse
+
+
+def test_mixed_policy_checkpoint_resume_is_bit_identical(tmp_path):
+    # Float32 normals come from 32-bit halves of the generator's 64-bit
+    # outputs; the spare half buffered at the cut must survive the resume.
+    model, cut, n = RobotArmModel(), 5, 10
+    truth = arm_truth(n, seed=5, model=model)
+
+    def run(pf, ks):
+        return [pf.step(truth.measurements[k], truth.controls[k]) for k in ks]
+
+    golden = np.stack(run(_arm_filter("mixed", 2), range(n)))
+    pf = _arm_filter("mixed", 2)
+    head = run(pf, range(cut))
+    assert pf.rng.inner.state_dict()["bit_generator"]["has_uint32"] == 1
+    pf.save_checkpoint(str(tmp_path / "arm.ckpt"))
+    resumed = DistributedParticleFilter(model, pf.config)
+    resumed.load_checkpoint(str(tmp_path / "arm.ckpt"))
+    assert resumed.states.dtype == np.float32
+    tail = run(resumed, range(cut, n))
+    assert np.stack(head + tail).tobytes() == golden.tobytes()

@@ -17,7 +17,12 @@ from repro.resampling import (
     rws_indices,
     rws_indices_batch,
 )
-from repro.resampling.rws import ROW_SEARCH_MIN_DRAWS, search_shifted_cdf
+from repro.resampling.rws import (
+    ROW_SEARCH_MIN_DRAWS,
+    rws_cdf,
+    search_shifted_cdf,
+    shifted_key_bounds,
+)
 from repro.utils.arrays import normalize_weights
 from tests.speed import best_block_seconds
 
@@ -149,33 +154,54 @@ def _normalize_oracle(w, axis=-1):
 
 
 def _rws_flat_oracle(weights, u):
-    """The flat RWS formulation the in-place kernel replaced, kept verbatim
-    as a bitwise oracle: normalized CDF rows shifted into (r, r+1], one
-    flattened ``searchsorted``, ``np.repeat`` row bases."""
+    """The flat RWS formulation, written out as a bitwise oracle: each row's
+    prefix sum divided by its own last entry (the CDF clamped at 1.0; rows
+    without a finite positive total go uniform), rows and keys shifted into
+    [r, r+1], keys held below r + 1, one flattened ``searchsorted``,
+    ``np.repeat`` row bases."""
     w = np.atleast_2d(np.asarray(weights, dtype=np.float64))
     u = np.atleast_2d(np.asarray(u, dtype=np.float64))
     F, m = w.shape
-    c = np.cumsum(_normalize_oracle(w, axis=1), axis=1)
-    c[:, -1] = 1.0
+    c = np.cumsum(w, axis=1)
+    total = c[:, -1:].copy()
+    bad = ~np.isfinite(total[:, 0]) | (total[:, 0] <= 0)
+    c[bad] = np.arange(1, m + 1)
+    total[bad] = m
+    c = c / total
     offsets = np.arange(F, dtype=np.float64)[:, None]
     flat_cdf = (c + offsets).reshape(-1)
-    flat_u = (u + offsets).reshape(-1)
-    pos = np.searchsorted(flat_cdf, flat_u, side="right")
+    keys = np.minimum(u + offsets, np.nextafter(offsets + 1.0, 0.0))
+    pos = np.searchsorted(flat_cdf, keys.reshape(-1), side="right")
     idx = (pos - np.repeat(np.arange(F) * m, u.shape[1])).astype(np.int64)
-    np.clip(idx, 0, m - 1, out=idx)
     return idx.reshape(F, -1)
+
+
+def _assert_rws_answers(weights, u, idx):
+    """Every key lands in its own row on a positive-weight particle (rows
+    with no usable total excepted: they draw uniformly), and each row's
+    indices are a non-decreasing function of its keys, so equal keys have
+    one answer."""
+    w = np.atleast_2d(np.asarray(weights, dtype=np.float64))
+    assert ((idx >= 0) & (idx < w.shape[1])).all()
+    total = w.sum(axis=1)
+    usable = np.isfinite(total) & (total > 0)
+    drawn = np.take_along_axis(w, idx, axis=1)
+    assert (drawn[usable] > 0).all(), "a zero-weight particle was drawn"
+    for f in range(u.shape[0]):
+        order = np.argsort(u[f], kind="stable")
+        assert (np.diff(idx[f][order]) >= 0).all(), "one key, two answers"
 
 
 def _row_search(weights, u):
     """Row-local indices from :func:`search_shifted_cdf` with no crossover,
     on the shifted CDF and keys ``rws_indices_batch`` builds."""
     F, m = weights.shape
-    c = np.cumsum(_normalize_oracle(weights, axis=1), axis=1)
-    c[:, -1] = 1.0
+    c = rws_cdf(weights)
     offsets = np.arange(F, dtype=np.float64)[:, None]
     c += offsets
-    pos = search_shifted_cdf(c, u + offsets, min_draws=0)
-    return np.clip(pos - np.arange(F)[:, None] * m, 0, m - 1)
+    keys = np.minimum(u + offsets, shifted_key_bounds(F))
+    pos = search_shifted_cdf(c, keys, min_draws=0)
+    return pos - np.arange(F)[:, None] * m
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 64, 66, 96])
@@ -191,21 +217,48 @@ def test_row_search_matches_flat_oracle_across_pool_sizes(m):
     want = _rws_flat_oracle(w, u)
     np.testing.assert_array_equal(_row_search(w, u), want)
     np.testing.assert_array_equal(rws_indices_batch(w, u), want)
+    _assert_rws_answers(w, u, want)
 
 
-def test_row_search_takes_the_flat_search_where_the_cdf_drops():
-    # Row 1's prefix sum rounds above 1.0 before its last (zero-weight)
-    # column, so its keys one ulp below 1 have two upper bounds in the
-    # flat CDF; the flat search picks one by its probe history, and the
-    # row search must return the same.
+def test_prefix_sum_above_one_gives_each_key_one_positive_weight_answer():
+    # Row 1's normalized prefix sum rounds above 1.0 before its last
+    # (zero-weight) column. Unclamped, its keys one ulp below 1 had two
+    # upper bounds in the flat CDF, and the flat search returned [3, 4, 4]
+    # for three equal keys, 4 being the zero-weight particle. The clamped
+    # CDF gives each key one answer, on a positive weight.
     w = np.array([[0.266878075672634, 0.36342646203797385, 0.03989158388312517, 0.0, 0.0],
                   [0.06668708876770282, 0.19906725894402133, 0.1733196652099375,
                    0.01657663617785579, 0.0]])
     near_one = np.nextafter(1.0, 0.0)
     u = np.array([[0.4661739945286675, near_one, 0.8975541965943097], [near_one] * 3])
     want = _rws_flat_oracle(w, u)
-    assert want[1].tolist() == [3, 4, 4]  # the same key, two answers
+    assert want[1].tolist() == [3, 3, 3]
+    assert want[0, 1] == 2
+    _assert_rws_answers(w, u, want)
     np.testing.assert_array_equal(_row_search(w, u), want)
+    np.testing.assert_array_equal(rws_indices_batch(w, u), want)
+    for f in range(2):  # alone, each row keeps its answers
+        np.testing.assert_array_equal(rws_indices(w[f], u[f]), want[f])
+
+
+def test_cdf_ending_below_one_never_draws_trailing_zero_weights():
+    # A prefix sum of normalized weights that rounds *below* 1.0 before a
+    # zero-weight tail used to leave that tail the gap up to the forced
+    # 1.0 at the end of the row; keys in the gap drew a zero-weight particle.
+    rng = np.random.default_rng(12)
+    hits = 0
+    for _ in range(200):
+        w = rng.random((1, 7))
+        w[0, 4:] = 0.0
+        c = np.cumsum(w / w.sum())
+        if c[3] >= 1.0:
+            continue
+        hits += 1
+        u = np.array([[c[3], np.nextafter(1.0, 0.0)]])
+        for idx in (rws_indices_batch(w, u), _row_search(w, u),
+                    rws_indices(w[0], u[0])[None, :]):
+            assert idx.tolist() == [[3, 3]]
+    assert hits > 0
 
 
 @settings(max_examples=150, deadline=None)
@@ -239,6 +292,7 @@ def test_rws_batch_bitwise_matches_flat_oracle(n_filters, m, k, seed, kinds):
     np.testing.assert_array_equal(got, want)
     # The lock-step row search itself, forced below its crossover.
     np.testing.assert_array_equal(_row_search(w, u), want)
+    _assert_rws_answers(w, u, got)
     np.testing.assert_array_equal(w, weights_before)  # input left untouched
     # normalize_weights itself (the ESS policy's input) matches its oracle
     # along either axis, bad rows included.
@@ -288,8 +342,7 @@ def test_row_search_beats_flat_search():
     # ancestors each from a 64-particle pool.
     rng = np.random.default_rng(5)
     F, m = 256, 64
-    c = np.cumsum(normalize_weights(rng.random((F, m)), axis=1), axis=1)
-    c[:, -1] = 1.0
+    c = rws_cdf(rng.random((F, m)))
     offsets = np.arange(F, dtype=np.float64)[:, None]
     c += offsets
     keys = rng.random((F, m)) + offsets

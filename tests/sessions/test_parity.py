@@ -101,6 +101,24 @@ def test_mixed_control_presence_steps_every_session(name):
                              label=f"{name}/mixed/s{i}")
 
 
+@pytest.mark.parametrize("allocation, captures", [("fixed", False), ("ess", True)])
+def test_cohort_captures_allocation_metrics_only_for_a_reader(allocation, captures, monkeypatch):
+    # A cohort round has no allocation telemetry hook, so only an adaptive
+    # policy's allocate stage reads the metrics the resample stage captures.
+    from repro.engine import vector_stages
+
+    calls = []
+    capture = vector_stages._capture_alloc_metrics
+    monkeypatch.setattr(vector_stages, "_capture_alloc_metrics",
+                        lambda *a: calls.append(1) or capture(*a))
+    cfg = dict(n_particles=8, n_filters=4, topology="ring", n_exchange=1,
+               allocation=allocation)
+    model = scalar_model()
+    cohort_run(model, [DistributedFilterConfig(seed=i, **cfg) for i in range(2)],
+               measurements(2, 3))
+    assert bool(calls) is captures
+
+
 def test_sessions_actually_share_one_cohort():
     model = scalar_model()
     cfgs = [DistributedFilterConfig(n_particles=8, n_filters=2, n_exchange=0,
