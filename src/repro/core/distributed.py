@@ -21,6 +21,8 @@ observers (device cost accounting, resilience monitoring) hook into
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from repro.allocation import make_allocation_policy
@@ -29,8 +31,24 @@ from repro.core.parameters import DistributedFilterConfig
 from repro.engine import vector_stages
 from repro.engine.round import Round
 from repro.models.base import StateSpaceModel
-from repro.prng.streams import make_rng
+from repro.prng.streams import LOOKAHEAD_MIN_DRAWS, NumpyRNG, make_rng
 from repro.topology import resolve_topology
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _arm_lookahead(rng, config, model, tracer) -> None:
+    """Arm *rng*'s normal-draw lookahead where it can pay: a plain
+    :class:`NumpyRNG`, a population of at least ``LOOKAHEAD_MIN_DRAWS``
+    values, and a second CPU for the helper thread to draw on."""
+    population = config.n_filters * config.n_particles * model.state_dim
+    if (type(rng) is NumpyRNG and population >= LOOKAHEAD_MIN_DRAWS
+            and _usable_cpus() >= 2):
+        rng.arm_lookahead(tracer=tracer)
 
 
 class SoloFilter:
@@ -58,10 +76,12 @@ class SoloFilter:
         self._table = self.topology.neighbor_table()
         self._mask = self._table >= 0
         self.alloc_policy = make_allocation_policy(cfg)
+        rng = make_rng(cfg.rng, cfg.seed)
         rnd = self._round = Round(
-            model, cfg, make_rng(cfg.rng, cfg.seed), stages=self.stages, owner=self,
+            model, cfg, rng, stages=self.stages, owner=self,
             tracer=tracer, topology=self.topology, table=self._table, mask=self._mask,
             alloc_policy=self.alloc_policy)
+        _arm_lookahead(rng, cfg, model, rnd.tracer)
         self.timer, self.rng, self.tracer = rnd.timer, rnd.rng, rnd.tracer
         self.resampler, self.policy = rnd.resampler, rnd.policy
         self.dtype_policy, self.dtype = rnd.dtype_policy, rnd.dtype

@@ -166,18 +166,28 @@ class AllocationTelemetryHook(StageHook):
       weight-mass shares (1/F = balanced, 1.0 = one sub-filter holds all
       the mass).
 
-    Unlike spans, counters are always live, but the whole emission is
-    skipped when no tracer is attached or the state never captured metrics
-    (loop backends without a resample stage run).
+    With a round's *ctx* (a fixed allocation, whose metrics only this hook
+    reads) the hook runs only on steps its tracer is enabled for: it turns
+    the resample stage's capture on for those steps alone, so an untraced
+    fixed-allocation round captures and publishes nothing. Without one it
+    publishes every step (an adaptive allocation captures the metrics for
+    its allocate stage anyway). The emission is skipped when no tracer is
+    attached, and the gauges when the state never captured metrics (loop
+    backends without a resample stage run).
     """
 
-    def __init__(self, tracer=None):
+    def __init__(self, tracer=None, ctx=None):
         self.tracer = tracer
+        self.ctx = ctx
         self._seen: dict[str, int] = {}
+
+    def on_step_start(self, state: FilterState) -> None:
+        if self.ctx is not None:
+            self.ctx.alloc_metrics = self.tracer is not None and self.tracer.enabled
 
     def on_step_end(self, state: FilterState) -> None:
         tracer = self.tracer
-        if tracer is None:
+        if tracer is None or (self.ctx is not None and not tracer.enabled):
             return
         for key, total in state.alloc_counters.items():
             delta = int(total) - self._seen.get(key, 0)

@@ -79,11 +79,12 @@ class Round:
         owner hooks that lead the round's own timer and kernel hooks.
     alloc_policy:
         the owner's allocation policy; with one, a non-fused round also
-        publishes allocation telemetry.
+        publishes allocation telemetry (under a fixed allocation, on traced
+        steps only).
     alloc_metrics:
         ``False`` keeps the resample stage from capturing the allocation
         metrics; with ``True`` it captures them only when a reader exists
-        (an adaptive allocation or the telemetry hook).
+        (an adaptive allocation, or the telemetry hook on a traced step).
     """
 
     def __init__(self, model, config, rng, *, stages="vector", owner=None,
@@ -123,13 +124,15 @@ class Round:
                                         span_attrs=span_attrs), self.kernel_hook]
         self.fused = (stages == "vector"
                       and fused_pipeline_applicable(self if owner is None else owner))
-        telemetry = alloc_policy is not None and not self.fused
-        if telemetry:
-            # The fused envelope fixes the allocation: nothing to report.
-            self.hooks.append(AllocationTelemetryHook(tracer=self.tracer))
         # The resample stage captures the allocation metrics only for a
-        # reader: an adaptive policy's allocate stage or the telemetry hook.
-        self.ctx.alloc_metrics = alloc_metrics and (telemetry or config.allocation != "fixed")
+        # reader: an adaptive policy's allocate stage on every step, or the
+        # telemetry hook on a traced one.
+        adaptive = config.allocation != "fixed"
+        self.ctx.alloc_metrics = alloc_metrics and adaptive
+        if alloc_policy is not None and not self.fused:
+            # The fused envelope fixes the allocation: nothing to report.
+            self.hooks.append(AllocationTelemetryHook(
+                tracer=self.tracer, ctx=self.ctx if alloc_metrics and not adaptive else None))
         self.pipeline = None
         if stages == "loop":
             self.pipeline = build_loop_pipeline(hooks=self.hooks)

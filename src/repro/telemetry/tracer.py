@@ -6,16 +6,19 @@ A :class:`Span` is one timed interval on the merged timeline — a whole
 open attribute dict (flops/bytes from the kernel cost signatures, heal
 deltas, routing widths...). A :class:`Tracer` is the process-local collector:
 an explicit-clock span stack (``begin``/``end`` or the :meth:`Tracer.span`
-context manager), always-on counters, and a list of finished spans that
+context manager), counters, and a list of finished spans that
 exporters (:mod:`repro.telemetry.exporters`) turn into a JSONL event log, a
 Chrome/Perfetto ``trace_event`` file, or a plain-text breakdown table.
 
 Span recording is **off by default**: a disabled tracer's ``begin``/``end``
 are constant-time no-ops, so the hooks that carry telemetry through every
 backend (see :mod:`repro.engine.hooks`) cost nothing measurable until an
-exporter is attached or :attr:`Tracer.enabled` is set. Counters are always
-live — they are plain dict adds and several subsystems (transport fallback
-accounting, hook error isolation) rely on them unconditionally.
+exporter is attached or :attr:`Tracer.enabled` is set. Counters are plain
+dict adds that work whether or not the tracer is enabled, and some
+subsystems (transport fallback accounting, hook error isolation) count
+unconditionally. Publishers whose counts only a trace reads count only on
+traced steps: the allocation telemetry of a fixed-allocation round, and
+the RNG lookahead's ``prng.lookahead_hits``/``prng.lookahead_misses``.
 
 Cross-process merging: worker processes record spans against their own
 ``time.perf_counter`` clock and ship them through :func:`spans_to_wire`; the
@@ -181,7 +184,7 @@ class Tracer:
             span = self._stack[-1]
             span.attrs = {**(span.attrs or {}), **attrs}
 
-    # -- counters (always live) ----------------------------------------------
+    # -- counters (live whether or not enabled) ------------------------------
     def count(self, name: str, value: float = 1.0) -> None:
         self.counters[name] = self.counters.get(name, 0.0) + value
 
