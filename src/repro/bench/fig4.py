@@ -51,10 +51,10 @@ def run_fig4c(platform: str = "gtx-580", n_particles: int = 512, n_filters: int 
 def measured_breakdown(n_particles: int = 64, n_filters: int = 64, n_joints: int = 5, n_steps: int = 10) -> dict:
     """Wall-clock phase fractions of the vectorized backend on this host.
 
-    With two or more CPUs the default shape (64 x 64 x 9) arms the RNG
-    lookahead (:class:`repro.prng.streams.Lookahead`): the arm round's noise
-    is drawn on the second core, so ``rand`` is the round's wait for that
-    draw, not the draw itself.
+    The default shape's noise draw (64 x 64 x 9 values) is below
+    :data:`repro.prng.streams.LOOKAHEAD_MIN_DRAWS`, so ``rand`` is the draw
+    itself; from that size up, with two or more CPUs, the draw runs a round
+    ahead on the second core and ``rand`` is the round's wait for it.
     """
     model = RobotArmModel(RobotArmParams(n_joints=n_joints))
     cfg = DistributedFilterConfig(n_particles=n_particles, n_filters=n_filters, seed=0)

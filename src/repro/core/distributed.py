@@ -31,7 +31,7 @@ from repro.core.parameters import DistributedFilterConfig
 from repro.engine import vector_stages
 from repro.engine.round import Round
 from repro.models.base import StateSpaceModel
-from repro.prng.streams import LOOKAHEAD_MIN_DRAWS, NumpyRNG, make_rng
+from repro.prng.streams import NumpyRNG, make_rng
 from repro.topology import resolve_topology
 
 
@@ -41,13 +41,12 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _arm_lookahead(rng, config, model, tracer) -> None:
+def _arm_lookahead(rng, tracer) -> None:
     """Arm *rng*'s normal-draw lookahead where it can pay: a plain
-    :class:`NumpyRNG`, a population of at least ``LOOKAHEAD_MIN_DRAWS``
-    values, and a second CPU for the helper thread to draw on."""
-    population = config.n_filters * config.n_particles * model.state_dim
-    if (type(rng) is NumpyRNG and population >= LOOKAHEAD_MIN_DRAWS
-            and _usable_cpus() >= 2):
+    :class:`NumpyRNG` with a second CPU for the helper thread to draw on.
+    The lookahead itself runs only draws of at least
+    :data:`~repro.prng.streams.LOOKAHEAD_MIN_DRAWS` values ahead."""
+    if type(rng) is NumpyRNG and _usable_cpus() >= 2:
         rng.arm_lookahead(tracer=tracer)
 
 
@@ -58,7 +57,10 @@ class SoloFilter:
     Subclasses choose only the round's stage family, how the prior is
     drawn, and the backend tag their checkpoints carry. ``tracer`` is an
     optional shared :class:`~repro.telemetry.Tracer` (a private disabled
-    one by default).
+    one by default). ``lookahead=False`` keeps every normal draw on the
+    round's thread (see :class:`~repro.prng.streams.Lookahead`); the
+    session scheduler builds its solo filters so, since a manager may hold
+    many and each armed one would keep a draw in flight.
     """
 
     #: the checkpoint's ``backend`` tag; a snapshot loads only into its own.
@@ -69,7 +71,7 @@ class SoloFilter:
     per_filter_prior = False
 
     def __init__(self, model: StateSpaceModel, config: DistributedFilterConfig | None = None,
-                 tracer=None):
+                 tracer=None, *, lookahead: bool = True):
         self.model = model
         self.config = cfg = config or DistributedFilterConfig()
         self.topology = resolve_topology(cfg.topology, cfg.n_filters)
@@ -81,7 +83,8 @@ class SoloFilter:
             model, cfg, rng, stages=self.stages, owner=self,
             tracer=tracer, topology=self.topology, table=self._table, mask=self._mask,
             alloc_policy=self.alloc_policy)
-        _arm_lookahead(rng, cfg, model, rnd.tracer)
+        if lookahead:
+            _arm_lookahead(rng, rnd.tracer)
         self.timer, self.rng, self.tracer = rnd.timer, rnd.rng, rnd.tracer
         self.resampler, self.policy = rnd.resampler, rnd.policy
         self.dtype_policy, self.dtype = rnd.dtype_policy, rnd.dtype

@@ -162,11 +162,14 @@ def _standard_normal(gen, shape, dtype) -> np.ndarray:
     return gen.standard_normal(size=shape).astype(dtype, copy=False)
 
 
-#: The smallest normal draw a lookahead runs ahead (see
-#: :meth:`NumpyRNG.arm_lookahead`). Below it the helper thread's start and
-#: the state checks cost about what the draw saves (2-vCPU Xeon, NumPy 2.4.6:
-#: a float32 draw of 32 K values takes about 0.6 ms, a thread start 0.1-0.2 ms).
-LOOKAHEAD_MIN_DRAWS = 32_768
+#: The smallest normal draw a :class:`Lookahead` runs ahead. Smaller draws
+#: run on the round's thread: the helper thread's start, its share of the GIL
+#: and the state checks cost the round more than the draw it takes away
+#: (2-vCPU Xeon, NumPy 2.4.6, arm round at m = 64, float32 noise, armed
+#: against unarmed step median in alternating blocks: 9 K values +0.2 to
+#: +0.3 ms, 28 K +0.07 to +0.27 ms, 37 K -0.03 to +0.03 ms, 46 K -0.17 to
+#: -0.21 ms, 147 K -1.6 to -1.8 ms).
+LOOKAHEAD_MIN_DRAWS = 40_960
 
 
 class _Speculation:
@@ -187,7 +190,7 @@ class Lookahead:
     """A :class:`NumpyRNG`'s one-deep lookahead for its large normal draws.
 
     A NumPy draw is a pure function of (generator state, shape, dtype). So
-    after a ``normal`` draw of at least ``min_draws`` values, a helper
+    after a ``normal`` draw of at least ``LOOKAHEAD_MIN_DRAWS`` values, a helper
     thread draws the next one from a clone whose state is the live state
     advanced by the 64-bit words the stream's ``uniform`` calls consumed
     between its last two such draws; NumPy fills the array without the GIL.
@@ -203,9 +206,8 @@ class Lookahead:
     ``prng.lookahead_hits``/``prng.lookahead_misses``.
     """
 
-    def __init__(self, gen: np.random.Generator, min_draws: int, tracer=None):
+    def __init__(self, gen: np.random.Generator, tracer=None):
         self.gen = gen
-        self.min_draws = int(min_draws)
         self.tracer = tracer
         self.clone = np.random.Generator(type(gen.bit_generator)())
         self.hits = self.misses = 0
@@ -215,15 +217,14 @@ class Lookahead:
         _LOOKAHEADS.add(self)
 
     def normal(self, shape, dtype) -> np.ndarray:
-        key = (tuple(shape) if np.ndim(shape) else (int(shape),), np.dtype(dtype))
-        out = None if self._pending is None else self._adopt(key)
+        out = None if self._pending is None else self._adopt(shape, dtype)
         if out is None:
             out = _standard_normal(self.gen, shape, dtype)
         gap, self.gap = self.gap, None
-        if out.size < self.min_draws:
+        if out.size < LOOKAHEAD_MIN_DRAWS:
             self._last = None
             return out
-        last = self._last
+        key, last = (out.shape, out.dtype), self._last
         if last is None or last[0] != key:
             gap = None  # words since a draw of another shape: no gap to repeat
         elif gap is not None and last[1] in (None, gap):
@@ -268,9 +269,10 @@ class Lookahead:
         spec.out = _standard_normal(self.clone, *spec.key)
         spec.end = bits.state
 
-    def _adopt(self, key) -> np.ndarray | None:
+    def _adopt(self, shape, dtype) -> np.ndarray | None:
         spec, self._pending = self._pending, None
         spec.thread.join()
+        key = (tuple(shape) if np.ndim(shape) else (int(shape),), np.dtype(dtype))
         if spec.key == key and spec.out is not None and self.gen.bit_generator.state == spec.start:
             self.gen.bit_generator.state = spec.end
             self._tally("hits")
@@ -307,14 +309,6 @@ class NumpyRNG(FilterRNG):
             self.lookahead.forget()
         return self._g
 
-    @_gen.setter
-    def _gen(self, gen) -> None:
-        # The lookahead clones the generator it was armed over: disarm.
-        if self.lookahead is not None:
-            self.lookahead.discard()
-            self.lookahead = None
-        self._g = gen
-
     def uniform(self, shape, dtype=np.float64) -> np.ndarray:
         u = self._g.random(size=shape)
         lookahead = self.lookahead
@@ -328,11 +322,12 @@ class NumpyRNG(FilterRNG):
             return self.lookahead.normal(shape, dtype)
         return _standard_normal(self._g, shape, dtype)
 
-    def arm_lookahead(self, min_draws: int = LOOKAHEAD_MIN_DRAWS, tracer=None) -> Lookahead:
-        """Run each ``normal`` draw of at least *min_draws* values ahead on a
-        helper thread (see :class:`Lookahead`); returns the lookahead."""
+    def arm_lookahead(self, tracer=None) -> Lookahead:
+        """Run each ``normal`` draw of at least ``LOOKAHEAD_MIN_DRAWS`` values
+        ahead on a helper thread (see :class:`Lookahead`); returns the
+        lookahead."""
         if self.lookahead is None:
-            self.lookahead = Lookahead(self._g, min_draws, tracer)
+            self.lookahead = Lookahead(self._g, tracer)
         return self.lookahead
 
     def spawn(self, stream: int) -> "NumpyRNG":
@@ -421,7 +416,7 @@ class _StripedNumpyRNG(NumpyRNG):
     """
 
     def __init__(self, stripe: _RowStripe):
-        self._gen = stripe
+        self._g = stripe
 
 
 def numpy_generator(rng) -> np.random.Generator | None:

@@ -139,7 +139,7 @@ class SessionManager:
 
                 sess.envelope_reason = reason
                 sess.solo = DistributedParticleFilter(
-                    sess.model, sess.config, tracer=self.tracer)
+                    sess.model, sess.config, tracer=self.tracer, lookahead=False)
                 sess.solo.initialize()
             self._solo[sess.session_id] = sess
         self.sessions[sess.session_id] = sess

@@ -18,12 +18,13 @@ from repro.telemetry import Tracer
 
 STEPS = 50
 MODEL = RobotArmModel()
+AR1 = LinearGaussianModel(A=[[0.9]], C=[[1.0]], Q=[[0.04]], R=[[0.01]])
 TRUTH = arm_truth(STEPS + 10, seed=3, model=MODEL)
 
 
 def arm_config(**kw):
-    # 64 * 64 * 9 = 36,864 values per transition draw: past the threshold.
-    return DistributedFilterConfig(n_particles=64, n_filters=64, topology="ring",
+    # 80 * 64 * 9 = 46,080 values per transition draw: past the threshold.
+    return DistributedFilterConfig(n_particles=64, n_filters=80, topology="ring",
                                    n_exchange=1, seed=5, **kw)
 
 
@@ -94,12 +95,14 @@ def test_forced_miss_gives_the_unarmed_values(monkeypatch, force):
 
 def test_direct_generator_access_stops_speculation():
     rng, plain = NumpyRNG(7), NumpyRNG(7)
-    la = rng.arm_lookahead(min_draws=16)
+    la = rng.arm_lookahead()
+    shape = (80, 512)  # 40 K values: the smallest draw run ahead
+    assert shape[0] * shape[1] == LOOKAHEAD_MIN_DRAWS
 
     def rounds(n):
         for _ in range(n):
-            np.testing.assert_array_equal(rng.normal((8, 4), np.float32),
-                                          plain.normal((8, 4), np.float32))
+            np.testing.assert_array_equal(rng.normal(shape, np.float32),
+                                          plain.normal(shape, np.float32))
             rng.uniform((5,)), plain.uniform((5,))
 
     rounds(3)
@@ -133,12 +136,26 @@ def test_no_helper_thread_outlives_its_draw(monkeypatch):
     assert not helper_threads()
 
 
+def never_speculates(pf, measurements):
+    la = lookahead(pf)
+    assert la is not None
+    for z in measurements:
+        pf.step(z)
+        assert la._pending is None
+    assert (la.hits, la.misses) == (0, 0)
+
+
 class TestArmingRule:
-    def test_fused_small_shape_is_not_armed(self):
+    def test_fused_small_shape_never_speculates(self, monkeypatch):
         cfg = DistributedFilterConfig(n_particles=16, n_filters=16, topology="ring",
                                       n_exchange=1, execution="compiled")
-        assert lookahead(DistributedParticleFilter(
-            LinearGaussianModel(A=[[0.9]], C=[[1.0]], Q=[[0.04]], R=[[0.01]]), cfg)) is None
+        never_speculates(build(monkeypatch, True, model=AR1, config=cfg),
+                         [np.array([0.1 * k]) for k in range(6)])
+
+    def test_draws_below_the_threshold_run_serially(self, monkeypatch):
+        small = DistributedFilterConfig(n_particles=64, n_filters=64, seed=5)
+        assert 64 * 64 * 9 < LOOKAHEAD_MIN_DRAWS  # 36,864 values
+        never_speculates(build(monkeypatch, True, config=small), TRUTH.measurements[:6])
 
     def test_one_cpu_affinity_is_not_armed(self, monkeypatch):
         assert lookahead(build(monkeypatch, False)) is None
@@ -147,19 +164,13 @@ class TestArmingRule:
         pf = build(monkeypatch, True, config=arm_config(rng="philox"))
         assert getattr(pf.rng.inner, "lookahead", None) is None
 
-    def test_threshold_is_the_population(self, monkeypatch):
-        small = DistributedFilterConfig(n_particles=64, n_filters=56, seed=5)  # 32,256
-        assert 56 * 64 * 9 < LOOKAHEAD_MIN_DRAWS
-        assert lookahead(build(monkeypatch, True, config=small)) is None
-
     def test_cohort_striped_stream_is_not_armed(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        model = LinearGaussianModel(A=[[0.9]], C=[[1.0]], Q=[[0.04]], R=[[0.01]])
         # 128 * 256 * 1 values per draw: past the threshold.
         cfg = dict(n_particles=128, n_filters=256, topology="ring", n_exchange=1)
         mgr = SessionManager()
         for i in range(2):
-            mgr.attach(f"s{i}", model, DistributedFilterConfig(seed=i, **cfg))
+            mgr.attach(f"s{i}", AR1, DistributedFilterConfig(seed=i, **cfg))
         for k in range(3):
             for i in range(2):
                 mgr.submit(f"s{i}", np.array([0.1 * k]))
@@ -169,6 +180,15 @@ class TestArmingRule:
         assert all(s.rng.lookahead is None for s in cohort.sessions)
         gens = [s.numpy_gen for s in cohort.sessions]
         assert stripe_generators(gens, 256).lookahead is None
+
+    def test_scheduler_solo_session_is_not_armed(self, monkeypatch):
+        # A manager may hold many out-of-envelope sessions; none keeps a
+        # draw in flight.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        mgr = SessionManager()
+        sess = mgr.attach("rough", MODEL, arm_config(roughening=0.1))
+        assert sess.solo is not None and sess.envelope_reason
+        assert sess.solo.rng.inner.lookahead is None
 
     def test_worker_stream_is_not_armed(self, monkeypatch):
         from repro.backends import MultiprocessDistributedParticleFilter
@@ -185,33 +205,40 @@ class TestArmingRule:
                 assert np.isfinite(step(pf, k)).all()
 
 
-def _child_steps_its_own_filter(queue):
+def _child_steps_its_own_filter(parent_pf, queue):
+    # What the fork left in this child: no speculation of the parent's
+    # filter, and no thread but this one.
+    inherited = (lookahead(parent_pf)._pending, [t.name for t in threading.enumerate()
+                                                 if t is not threading.current_thread()])
     pf = DistributedParticleFilter(MODEL, arm_config())
     for k in range(8):
         step(pf, k)
     la = pf.rng.inner.lookahead
-    queue.put((la is not None, 0 if la is None else la.hits))
+    queue.put((inherited, la is not None, 0 if la is None else la.hits))
 
 
 def test_forked_child_steps_its_own_lookahead_filter(monkeypatch):
     pf = build(monkeypatch, True)
     for k in range(6):
         step(pf, k)
-    assert lookahead(pf)._pending is not None
+    spec = lookahead(pf)._pending
+    assert spec is not None
     ctx = mp.get_context("fork")
     queue = ctx.Queue()
-    child = ctx.Process(target=_child_steps_its_own_filter, args=(queue,))
+    child = ctx.Process(target=_child_steps_its_own_filter, args=(pf, queue))
     child.start()
-    # The at-fork hook waited the speculation out and dropped it.
+    # The at-fork hook joined the helper and dropped its speculation
+    # before the fork.
+    assert not spec.thread.is_alive()
     assert lookahead(pf)._pending is None and lookahead(pf).misses == 1
-    assert not helper_threads()
     child.join(timeout=60)
     if child.is_alive():
         child.kill()
         child.join()
         pytest.fail("the forked child hung on a lookahead draw")
     assert child.exitcode == 0
-    armed, hits = queue.get(timeout=5)
+    inherited, armed, hits = queue.get(timeout=5)
+    assert inherited == (None, [])
     if len(os.sched_getaffinity(0)) >= 2:
         assert armed and hits > 0
     step(pf, 6)  # the parent keeps stepping too

@@ -93,7 +93,7 @@ def _stub_float64_source(rng, monkeypatch):
             def random(self, size):
                 return np.full(size, NEAR_ONE)
 
-        monkeypatch.setattr(rng, "_gen", _Gen())
+        monkeypatch.setattr(rng, "_g", _Gen())
     elif isinstance(rng, PhiloxRNG):
         monkeypatch.setattr(rng._philox, "uniform",
                             lambda start, n, stream=0, dtype=np.float64:
