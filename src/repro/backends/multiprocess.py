@@ -62,7 +62,7 @@ dedicated slab field; pipe: tiny beat messages), so a worker killed or hung
 the gather deadline — escalating retry → heal → respawn →
 checkpoint-and-abort. :meth:`MultiprocessDistributedParticleFilter.save_checkpoint`
 / ``load_checkpoint`` write and restore atomic, versioned snapshots
-(population, per-worker RNG states, healed topology, resilience counters)
+(population, per-sub-filter RNG states, healed topology, resilience counters)
 with a golden-trace guarantee: resuming at a step boundary is bit-identical
 to the uninterrupted run, including runs whose topology healed or respawned
 mid-flight.
@@ -100,7 +100,6 @@ from repro.engine.vector_stages import assemble_pool
 from repro.kernels.registry import default_registry
 from repro.metrics.timing import PhaseTimer
 from repro.models.base import StateSpaceModel
-from repro.prng.streams import make_rng
 from repro.resilience.checkpoint import (
     corrupt_checkpoint_file,
     normalize_config_record,
@@ -128,7 +127,7 @@ from repro.utils.validation import check_positive_int
 
 
 def _worker_loop(chan, model, config, ids, worker_id,
-                 fault_plan=None, rng_spec=("worker", 0), heartbeat=False):
+                 fault_plan=None, tags=None, heartbeat=False):
     """One worker process: owns the global sub-filters listed in ``ids``.
 
     The round's kernels are not implemented here: the worker builds the
@@ -146,13 +145,13 @@ def _worker_loop(chan, model, config, ids, worker_id,
     as a structured ``("error", traceback_str)`` reply instead of dying
     silently (which would leave the master blocked on ``recv``).
 
-    ``rng_spec`` selects the randomness partition: ``("worker", seed_tag)``
-    is the historical one-stream-per-process policy (the tag distinguishes
-    respawn generations so a replacement never replays its predecessor's
-    draws); ``("filter", {filter_id: tag})`` serves the same batched draws
-    through a :class:`FilterStripedRNG` — one stream per owned sub-filter —
-    which makes every draw a function of the *sub-filter*, not the worker,
-    so results are invariant to how sub-filters shard over processes.
+    Randomness belongs to the sub-filter: the batched draws are served
+    through a :class:`FilterStripedRNG` — one stream per owned sub-filter,
+    at its generation tag in ``tags`` (aligned with the ascending ``ids``;
+    all 0 when omitted, and a respawn bumps them so a replacement never
+    replays its predecessor's draws) — so every draw is a function of the
+    *sub-filter*, not the worker, and results are invariant to how
+    sub-filters shard over processes.
 
     Beyond the classic message kinds, three support the shard-aware
     topology: ``("shard", payload)`` installs a
@@ -171,13 +170,7 @@ def _worker_loop(chan, model, config, ids, worker_id,
     counters — everything that determines the block's future draws.
     """
     ids = np.sort(np.asarray(ids, dtype=np.int64))
-    rng_mode, rng_arg = rng_spec
-    if rng_mode == "filter":
-        inner = FilterStripedRNG(config.rng, config.seed, ids,
-                                 tags=[int(rng_arg.get(int(f), 0)) for f in ids])
-    else:
-        inner = make_rng(config.rng, config.seed).spawn(
-            1000 + worker_id + 100_000 * int(rng_arg))
+    inner = FilterStripedRNG(config.rng, config.seed, ids, tags=tags)
     tracer = Tracer()
     heal_hook = HealMonitorHook(tracer=tracer)
     hooks = [FaultInjectionHook(fault_plan, worker_id, tracer=tracer), heal_hook]
@@ -256,10 +249,10 @@ def _worker_loop(chan, model, config, ids, worker_id,
             kind = msg[0]
             try:
                 if kind == "init":
-                    # Filter-striped streams draw one (m, d) prior per
-                    # sub-filter from its own stream — the same draw under
-                    # any partition, which is what shard parity pins.
-                    rnd.initialize(rows=F, per_filter=rng_mode == "filter")
+                    # One (m, d) prior per sub-filter from its own stream —
+                    # the same draw under any partition, which is what shard
+                    # parity pins.
+                    rnd.initialize(rows=F, per_filter=True)
                     chan.send(("ok",))
                 elif kind == "adopt":
                     # Respawn path: start from particles cloned off a donor.
@@ -384,8 +377,7 @@ def _worker_loop(chan, model, config, ids, worker_id,
                     state.k, state.heal_counters = k_saved, heal_saved
                     ids = merged[order]
                     F = int(ids.size)
-                    if hasattr(rng.inner, "adopt"):
-                        rng.inner.adopt(new_ids, [int(x) for x in g_tags])
+                    inner.adopt(new_ids, [int(x) for x in g_tags])
                     shard_view = None  # stale coordinates after the merge
                     chan.send(("ok",))
                 elif kind == "get_state":
@@ -519,11 +511,6 @@ class MultiprocessDistributedParticleFilter:
                 raise ValueError(
                     f"rebalance_dead needs an elastic (framed) transport, "
                     f"not {self.transport.name!r}")
-            if config.rng_streams != "filter":
-                raise ValueError(
-                    "rebalance_dead requires rng_streams='filter': adopted "
-                    "sub-filters must carry their own RNG streams to stay "
-                    "deterministic on the surviving workers")
         self.rebalance_dead = bool(rebalance_dead)
         #: the waiting discipline shared by every master↔worker path.
         self.retry = RetryPolicy(timeout=recv_timeout, max_retries=max_retries)
@@ -565,10 +552,9 @@ class MultiprocessDistributedParticleFilter:
         #: group membership: worker statuses + the filter→worker shard
         #: assignment, with an epoch that invalidates cached shard views.
         self.membership = Membership(config.n_filters, n_workers)
-        self._seed_tags = [0] * n_workers
-        #: per-sub-filter RNG generation tags (``rng_streams="filter"``):
-        #: bumped when a sub-filter is re-seeded by respawn or rebalance
-        #: adoption, so a replacement stream never replays the original.
+        #: per-sub-filter RNG generation tags: bumped when a sub-filter is
+        #: re-seeded by respawn or rebalance adoption, so a replacement
+        #: stream never replays the original.
         self._filter_tags = np.zeros(config.n_filters, dtype=np.int64)
         self._block = config.n_filters // n_workers
         #: cached per-worker ShardViews + the (membership, topology) epoch
@@ -613,19 +599,14 @@ class MultiprocessDistributedParticleFilter:
     def _live_workers(self) -> list[int]:
         return self.membership.live_workers()
 
-    def _rng_spec(self, w: int) -> tuple:
-        if self.config.rng_streams == "filter":
-            return ("filter", {int(f): int(self._filter_tags[f])
-                               for f in self._owned(w)})
-        return ("worker", self._seed_tags[w])
-
     def _spawn_worker(self, w: int) -> None:
         ctx = mp.get_context("fork")
         master_chan, worker_chan = self.transport.channel_pair(ctx, self._layout)
+        ids = self._owned(w).copy()
         p = ctx.Process(
             target=_worker_loop,
-            args=(worker_chan, self.model, self.config, self._owned(w).copy(),
-                  w, self.fault_plan, self._rng_spec(w),
+            args=(worker_chan, self.model, self.config, ids, w, self.fault_plan,
+                  self._filter_tags[ids].tolist(),
                   self.supervisor is not None),
             daemon=True,
         )
@@ -1422,7 +1403,6 @@ class MultiprocessDistributedParticleFilter:
         with freshly allocated transport slabs — adopts them, and the healed
         topology restitches the revived ids.
         """
-        cfg = self.config
         donor_map = self._healer.donor_map()
         owner_of = self.membership.live_owner_of()
         state_cache: dict[int, tuple] = {}
@@ -1430,17 +1410,13 @@ class MultiprocessDistributedParticleFilter:
             ids = self._owned(w)
             if ids.size == 0:
                 continue  # rebalanced away; nothing to respawn
-            B = int(ids.size)
             new_states, new_logw, new_widths, ok = self._clone_from_donors(
                 ids, donor_map, owner_of, state_cache)
             if not ok:
                 continue  # no live donor this round; try again next step
-            if cfg.rng_streams == "filter":
-                # Fresh per-filter generations: the replacement streams must
-                # never replay the dead worker's draws.
-                self._filter_tags[ids] += 1
-            else:
-                self._seed_tags[w] += 1
+            # Fresh per-filter generations: the replacement streams must
+            # never replay the dead worker's draws.
+            self._filter_tags[ids] += 1
             self._spawn_worker(w)
             try:
                 self._send(w, ("adopt", new_states, new_logw, new_widths))
@@ -1454,8 +1430,9 @@ class MultiprocessDistributedParticleFilter:
             self.report.record_escalation("respawn")
             self.tracer.count("escalation.respawn")
             if self.supervisor is not None:
-                self.supervisor.escalate("respawn", w, self.k,
-                                         detail=f"seed_tag={self._seed_tags[w]}")
+                self.supervisor.escalate(
+                    "respawn", w, self.k,
+                    detail=f"filter_tags={self._filter_tags[ids].tolist()}")
 
     def _clone_from_donors(self, ids: np.ndarray, donor_map: dict,
                            owner_of: np.ndarray, state_cache: dict):
@@ -1502,10 +1479,10 @@ class MultiprocessDistributedParticleFilter:
         respawning a replacement process, the dead worker's sub-filters are
         redistributed (deterministically — ascending id to the least-loaded
         survivor) and each survivor *grows* its local population with donor
-        clones. Requires ``rng_streams="filter"``: the adopted sub-filters
-        bring their own fresh generation-tagged streams with them, so the
-        survivors' existing draws are untouched and the post-rebalance run
-        is a pure function of the failure history.
+        clones. The adopted sub-filters bring their own fresh
+        generation-tagged streams with them, so the survivors' existing
+        draws are untouched and the post-rebalance run is a pure function
+        of the failure history.
         """
         for w in sorted(self.dead_workers):
             orphans = self._owned(w)
@@ -1594,8 +1571,9 @@ class MultiprocessDistributedParticleFilter:
         """Atomically write a resumable snapshot of the whole run to *path*.
 
         Captures the full population (NaN for dead blocks), every live
-        worker's exact RNG state, the respawn lineage (``seed_tags``), the
-        healed-topology dead set, and the resilience report — everything
+        sub-filter's exact RNG stream state and generation tag, the shard
+        assignment, the healed-topology dead set, and the resilience
+        report — everything
         :meth:`load_checkpoint` needs to make the resumed run bit-identical
         to one that was never interrupted. Returns the manifest written
         (``None`` if a ``ckpt_partial_write`` fault interrupted the write;
@@ -1642,11 +1620,10 @@ class MultiprocessDistributedParticleFilter:
             "n_workers": int(self.n_workers),
             "transport": self.transport.name,
             "config": distributed_config_to_dict(cfg),
-            "seed_tags": [int(t) for t in self._seed_tags],
             # Schema v4: the shard assignment + per-filter RNG generations.
-            # Together with filter-keyed stream states (rng_streams="filter")
-            # they let load_checkpoint re-deal the run over a *different*
-            # worker count, bit-identically.
+            # Together with the filter-keyed stream states they let
+            # load_checkpoint re-deal the run over a *different* worker
+            # count, bit-identically.
             "assignment": [int(x) for x in self.membership.assignment()],
             "filter_tags": [int(t) for t in self._filter_tags],
             "membership": self.membership.summary(),
@@ -1692,21 +1669,20 @@ class MultiprocessDistributedParticleFilter:
         """Restore a :meth:`save_checkpoint` snapshot into this filter.
 
         Spawns the process tree if needed, pushes each live shard's
-        population + RNG state into its worker, retires shards that were
-        dead at save time (healing the topology around them, without
+        population + RNG stream states into its worker, retires shards that
+        were dead at save time (healing the topology around them, without
         re-counting their segment reclaims), and restores the step counter,
-        respawn lineage, and resilience report. After this returns, the
-        next :meth:`step` produces output bit-identical to the run the
-        checkpoint was taken from.
+        per-filter generation tags, and resilience report. After this
+        returns, the next :meth:`step` produces output bit-identical to the
+        run the checkpoint was taken from.
 
-        Schema v4 checkpoints additionally carry the shard assignment and
-        per-filter RNG generations, which unlocks **elastic resume**: with
-        ``rng_streams="filter"`` (and no healed-out sub-filters) a
-        checkpoint written by an N-worker run loads into an M-worker
-        filter — every sub-filter's particles and private stream state are
-        re-dealt to the new contiguous shards, and the resumed trajectory
-        stays bit-identical because no sub-filter's randomness depends on
-        which worker hosts it.
+        The saved per-filter stream states are flattened into one map and
+        re-dealt to each live worker's sub-filter ids, so the same path
+        serves **elastic resume**: a checkpoint written by an N-worker run
+        (with no healed-out sub-filters) loads into an M-worker filter
+        bit-identically, because no sub-filter's randomness depends on
+        which worker hosts it. Multiprocess checkpoints of schema v1-v3
+        store per-worker streams, which no longer exist, and are rejected.
         """
         arrays, manifest = read_checkpoint(path)
         meta = manifest["meta"]
@@ -1714,51 +1690,37 @@ class MultiprocessDistributedParticleFilter:
             raise CheckpointError(
                 f"checkpoint was written by backend {meta.get('backend')!r}, "
                 f"not 'multiprocess'")
+        worker_rng = meta.get("worker_rng", {})
+        if any(rec.get("kind") != "filter_striped" for rec in worker_rng.values()):
+            raise CheckpointError(
+                f"checkpoint (schema v{manifest.get('schema_version')}) stores "
+                "per-worker RNG streams, which are no longer restorable: "
+                "multiprocess runs draw from per-sub-filter streams")
         saved_cfg = normalize_config_record(meta.get("config", {}))
         if saved_cfg != distributed_config_to_dict(self.config):
             raise CheckpointError(
                 "checkpoint configuration does not match this filter's "
                 "configuration")
         cfg = self.config
-        saved_workers = int(meta.get("n_workers", -1))
-        saved_assign = meta.get("assignment")
-        dead_filters = sorted(int(f) for f in meta.get("dead_filters", []))
         alive = np.asarray(arrays["alive"]).astype(bool)
-        elastic = saved_workers != self.n_workers
-        if elastic:
-            if cfg.rng_streams != "filter":
-                raise CheckpointError(
-                    f"checkpoint has {saved_workers} workers, this filter has "
-                    f"{self.n_workers}; resuming across a different shard "
-                    "count requires rng_streams='filter' (per-worker streams "
-                    "are tied to the shard layout)")
-            if saved_assign is None:
-                raise CheckpointError(
-                    f"checkpoint has {saved_workers} workers and predates "
-                    f"shard assignments (schema < 4); cannot resume on "
-                    f"{self.n_workers} workers")
-            owner_saved = np.asarray(saved_assign, dtype=np.int64)
-            if owner_saved.min() < 0 or not alive[owner_saved].all():
-                raise CheckpointError(
-                    "cannot resume across a different shard count: some "
-                    "sub-filters were on dead workers at save time (their "
-                    "state is not in the checkpoint)")
-            if dead_filters:
+        same_layout = int(meta["n_workers"]) == self.n_workers
+        stream_map = {int(f): [int(f), int(tag), st]
+                      for rec in worker_rng.values()
+                      for f, tag, st in rec["streams"]}
+        if not same_layout:
+            n_dead = len(meta.get("dead_filters", []))
+            if n_dead:
                 raise CheckpointError(
                     "cannot resume across a different shard count while "
-                    f"{len(dead_filters)} sub-filters are healed out")
-            # Lineage re-keys to the new shard layout: per-filter generation
-            # tags carry across, per-worker seed tags do not.
-            target_assign = None  # contiguous default over self.n_workers
-            self._seed_tags = [0] * self.n_workers
-        else:
-            target_assign = (None if saved_assign is None
-                             else np.asarray(saved_assign, dtype=np.int64))
-            self._seed_tags = [int(t) for t in meta["seed_tags"]]
-        ftags = meta.get("filter_tags")
-        self._filter_tags = (np.zeros(cfg.n_filters, dtype=np.int64)
-                             if ftags is None
-                             else np.asarray(ftags, dtype=np.int64))
+                    f"{n_dead} sub-filters are healed out")
+            if len(stream_map) < cfg.n_filters:
+                raise CheckpointError(
+                    "cannot resume across a different shard count: the "
+                    "checkpoint lacks some sub-filters' RNG stream states")
+        self._filter_tags = np.asarray(meta["filter_tags"], dtype=np.int64)
+        # A different worker count re-deals over the contiguous default.
+        target_assign = (np.asarray(meta["assignment"], dtype=np.int64)
+                         if same_layout else None)
         block = cfg.n_filters // self.n_workers
         want = (np.repeat(np.arange(self.n_workers, dtype=np.int64), block)
                 if target_assign is None else target_assign)
@@ -1796,27 +1758,15 @@ class MultiprocessDistributedParticleFilter:
         else:
             self._widths = None
         k = int(meta["k"])
-        if elastic:
-            # Re-deal the per-filter streams: flatten every saved worker's
-            # filter-keyed stream states into one global map, then slice it
-            # by this instance's shard assignment.
-            stream_map: dict[int, tuple] = {}
-            rng_kind, rng_seed = cfg.rng, cfg.seed
-            for rec in meta["worker_rng"].values():
-                rng_kind, rng_seed = rec["rng"], rec["seed"]
-                for f, tag, st in rec["streams"]:
-                    stream_map[int(f)] = (int(tag), st)
-            missing = [f for f in range(cfg.n_filters) if f not in stream_map]
-            if missing:
-                raise CheckpointError(
-                    f"checkpoint carries no RNG stream state for sub-filters "
-                    f"{missing[:8]}; cannot re-deal across shard counts")
+        # Heal counters are shard-local telemetry aggregates (they never
+        # affect the numerics): they travel only with an unchanged layout.
+        heal = meta.get("worker_heal_counters", {}) if same_layout else {}
         live = []
         for w in range(self.n_workers):
             ids = self._owned(w)
-            if not elastic and not alive[w]:
-                # Dead at save time: retire it here too. The spawned-with-
-                # stale-tag worker is harmless — it never computed.
+            if same_layout and not alive[w]:
+                # Dead at save time: retire it here too. The spawned worker
+                # is harmless — it never computed.
                 if self.membership.is_live(w):
                     self._declare_dead(w, count_reclaim=False)
                 else:
@@ -1827,20 +1777,11 @@ class MultiprocessDistributedParticleFilter:
                 # degraded instance): give the shard a fresh process; the
                 # restore below installs its exact saved state.
                 self._spawn_worker(w)
-            if elastic:
-                rng_rec = {"kind": "filter_striped", "rng": rng_kind,
-                           "seed": rng_seed,
-                           "streams": [[int(f), *stream_map[int(f)]]
-                                       for f in ids]}
-                # Worker heal counters are local telemetry aggregates; they
-                # do not survive a re-deal (and never affect the numerics).
-                heal_rec: dict = {}
-            else:
-                rng_rec = meta["worker_rng"][str(w)]
-                heal_rec = meta.get("worker_heal_counters", {}).get(str(w), {})
+            rng_rec = {"kind": "filter_striped", "rng": cfg.rng, "seed": cfg.seed,
+                       "streams": [stream_map[int(f)] for f in ids]}
             self._send(w, ("restore", np.ascontiguousarray(states[ids]),
                            np.ascontiguousarray(logw[ids]), k, rng_rec,
-                           heal_rec,
+                           heal.get(str(w), {}),
                            None if widths_all is None
                            else np.ascontiguousarray(widths_all[ids])))
             live.append(w)

@@ -1,24 +1,18 @@
 """Per-sub-filter RNG streams for shard-invariant worker randomness.
 
-With the legacy ``rng_streams="worker"`` policy each worker process owns one
-stream (``root.spawn(1000 + worker_id + ...)``) and draws for its whole
-block at once — fast, but the random numbers a given sub-filter consumes
-depend on which worker it landed on, so two runs with different shard
-counts diverge bitwise.
-
-``rng_streams="filter"`` gives every *sub-filter* its own spawned stream
-and serves the worker's batched draws through a :class:`FilterStripedRNG` —
-the same striping facade the session layer uses (one generator per row,
-``block_rows=1``): sub-filter ``f`` consumes its own stream in exactly the
-shapes and order it would under any partition. That is the property the
-shard parity suite pins: an N-shard run over TCP is bit-identical to the
-same filter running every sub-filter in a single worker process.
+Every *sub-filter* owns its own spawned stream, and a worker serves its
+batched draws through a :class:`FilterStripedRNG` — the same striping
+facade the session layer uses (one generator per row, ``block_rows=1``):
+sub-filter ``f`` consumes its own stream in exactly the shapes and order it
+would under any partition. That is the property the shard parity suite
+pins: an N-shard run over TCP is bit-identical to the same filter running
+every sub-filter in a single worker process, and a checkpoint resumes under
+a different worker count.
 
 Stream derivation is a pure function of ``(rng kind, seed, filter id,
 generation tag)``; the tag is bumped each time a sub-filter is re-seeded by
-the recovery ladder (respawn or rebalance adoption), mirroring the
-per-worker ``seed_tag`` of the legacy policy. The spawn index family is
-offset far above the per-worker family so the two policies never collide.
+the recovery ladder (respawn or rebalance adoption), so a replacement never
+replays its predecessor's draws.
 """
 
 from __future__ import annotations
@@ -28,8 +22,7 @@ import numpy as np
 from repro.prng.streams import FilterRNG, make_rng
 from repro.sessions.rng import CohortRNG
 
-#: spawn-index floor of the per-filter family (per-worker streams use small
-#: indices: ``1000 + worker_id + 100_000 * seed_tag``).
+#: spawn-index floor of the per-filter family.
 PER_FILTER_STREAM_BASE = 1_000_000_000
 #: spawn-index stride between generation tags; filter ids must stay below
 #: this for (filter, tag) pairs to index disjoint streams.

@@ -284,12 +284,6 @@ def _cmd_chaos(args) -> int:
         raise ValueError("--rebalance and --respawn are mutually exclusive "
                          "recovery rungs")
     model, cfg, meas = _smoke_setup(args)
-    if args.rebalance:
-        # Elastic rebalancing re-deals sub-filters across survivors, which
-        # is only bit-reproducible under per-filter RNG streams.
-        from dataclasses import replace
-
-        cfg = replace(cfg, rng_streams="filter")
     plan = FaultPlan.random(
         args.seed, n_workers=args.workers, n_steps=args.steps,
         p_kill=args.p_kill, p_hang=args.p_hang, p_poison=args.p_poison,
@@ -483,8 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="respawn dead blocks instead of leaving the topology healed")
     c.add_argument("--rebalance", action="store_true",
                    help="rebalance a dead worker's sub-filters onto the "
-                        "survivors (elastic sharding; forces per-filter "
-                        "RNG streams)")
+                        "survivors (elastic sharding)")
     c.add_argument("--no-supervisor", action="store_true",
                    help="disable heartbeat supervision (deadline-only detection)")
     c.add_argument("--beat-timeout", type=float, default=0.25,
@@ -535,13 +528,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.resilience.errors import CheckpointError
+
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, CheckpointError) as exc:
         # Input the parser cannot check (an unknown platform or transport,
-        # an impossible shard plan): one diagnostic line and the parser's
-        # own exit status instead of a traceback.
+        # an impossible shard plan, a checkpoint that cannot be resumed):
+        # one diagnostic line and the parser's own exit status instead of a
+        # traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

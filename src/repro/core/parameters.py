@@ -102,15 +102,12 @@ class DistributedFilterConfig:
     #: (float32 states *and* log-weights, float64 reductions) or
     #: ``"float64"`` (everything double). See :mod:`repro.core.dtypes`.
     dtype_policy: str = "mixed"
-    #: randomness partitioning across workers: ``"worker"`` (one stream per
-    #: worker process — the historical behaviour every pre-shard golden
-    #: trace pins) or ``"filter"`` (one stream per sub-filter, striped into
-    #: the worker's batched draws — results become invariant to how
-    #: sub-filters are sharded over workers, which is what makes N-shard
-    #: runs bit-identical to single-process runs and lets checkpoints
-    #: resume under a different shard count). Single-process backends
-    #: ignore it.
-    rng_streams: str = "worker"
+    #: randomness partitioning: ``"filter"``, the only mode — every
+    #: sub-filter draws from its own stream, so multiprocess results are
+    #: invariant to how sub-filters shard over workers and checkpoints
+    #: resume under a different worker count. Kept as a field because
+    #: saved config records carry it. Single-process backends ignore it.
+    rng_streams: str = "filter"
     rng: str = "numpy"
     seed: int = 0
 
@@ -165,10 +162,13 @@ class DistributedFilterConfig:
             raise ValueError(
                 f"dtype_policy must be 'mixed', 'float32' or 'float64', "
                 f"got {self.dtype_policy!r}")
-        if self.rng_streams not in ("worker", "filter"):
+        if self.rng_streams == "worker":
             raise ValueError(
-                f"rng_streams must be 'worker' or 'filter', "
-                f"got {self.rng_streams!r}")
+                "rng_streams='worker' was removed: every run draws from "
+                "per-sub-filter streams (rng_streams='filter')")
+        if self.rng_streams != "filter":
+            raise ValueError(
+                f"rng_streams must be 'filter', got {self.rng_streams!r}")
         object.__setattr__(self, "dtype", check_dtype(self.dtype))
 
     @property

@@ -50,19 +50,20 @@ from repro.resilience.errors import CheckpointCorruptError, CheckpointError
 #: and ``dtype_policy`` fields, and the saved ``states``/``log_weights``
 #: arrays carry the policy's dtypes (float32 under a float32 policy).
 #: v4 (shard-aware topology): the multiprocess meta records the shard
-#: ``assignment`` (sub-filter → worker), the config's ``rng_streams``
-#: policy and — under ``rng_streams="filter"`` — per-sub-filter RNG states
-#: keyed by global filter id, which is what lets a v4 checkpoint resume
-#: bit-identically under a *different* worker/shard count.
+#: ``assignment`` (sub-filter → worker), per-sub-filter RNG generation tags
+#: (``filter_tags``) and per-sub-filter RNG states keyed by global filter
+#: id, which is what lets a v4 checkpoint resume bit-identically under a
+#: *different* worker/shard count.
 CHECKPOINT_SCHEMA_VERSION = 4
 
 #: schema versions this build can still read. v1 checkpoints are the
 #: fixed-width layout: no ``widths`` array (every row fully live), no
 #: allocation-policy state — both default cleanly on load. v2 predates the
 #: execution/dtype-policy config fields, which default to the reference
-#: forms and mixed dtypes via :func:`normalize_config_record`. v3 predates
-#: shard assignments and per-filter RNG streams, which default to the
-#: legacy per-worker policy.
+#: forms and mixed dtypes via :func:`normalize_config_record`. Single-
+#: process checkpoints of every version load; multiprocess ones of v1-v3
+#: (and v4 ones written with the removed per-worker stream mode) store
+#: per-worker RNG states and are rejected with a :class:`CheckpointError`.
 SUPPORTED_SCHEMA_VERSIONS = (1, 2, 3, 4)
 
 #: zip member carrying the JSON manifest (alongside the ``*.npy`` arrays).
@@ -253,13 +254,17 @@ def normalize_config_record(record: dict) -> dict:
     Round-tripping through the dataclass fills in fields introduced after
     the checkpoint was written (a schema-v1 record carries no allocation
     fields), so an old fixed-width checkpoint still compares equal to a
-    config that only differs in the new defaults.
+    config that only differs in the new defaults. The saved ``rng_streams``
+    is dropped: ``"filter"`` is the only mode, single-process backends never
+    read it, and the multiprocess loader rejects per-worker stream states
+    on their own.
     """
     from repro.core.parameters import (
         distributed_config_from_dict,
         distributed_config_to_dict,
     )
 
+    record = {k: v for k, v in record.items() if k != "rng_streams"}
     try:
         return distributed_config_to_dict(distributed_config_from_dict(record))
     except (TypeError, ValueError):

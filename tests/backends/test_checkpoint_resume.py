@@ -8,9 +8,11 @@ between scatter and poll is detected by process liveness (fast, not at the
 deadline), and shm segments are reclaimed when a supervised run aborts.
 """
 
+import json
 import os
 import signal
 import time
+import zipfile
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from repro.resilience import (
     WorkerFailure,
     read_manifest,
 )
+from repro.resilience.checkpoint import MANIFEST_MEMBER
 
 
 def lg_model():
@@ -120,8 +123,8 @@ class TestMultiprocessGoldenTrace:
     def test_resume_with_respawned_worker_is_bit_identical(self, transport, tmp_path):
         # The hard case: a worker is killed and respawned mid-flight BEFORE
         # the checkpoint. Resuming must reproduce the uninterrupted chaos
-        # run bit-for-bit — which exercises the seed-tag (respawn lineage)
-        # and healed-topology state in the checkpoint.
+        # run bit-for-bit — which exercises the per-filter generation tags
+        # (respawn lineage) and healed-topology state in the checkpoint.
         model, meas, cut = lg_model(), measurements(12), 7
         plan = FaultPlan(seed=0).kill(worker=1, step=3)
 
@@ -139,7 +142,10 @@ class TestMultiprocessGoldenTrace:
             head = drive(pf, meas[:cut])
             assert pf.report.respawns == 1
             manifest = pf.save_checkpoint(path)
-        assert manifest["meta"]["seed_tags"][1] == 1  # bumped lineage saved
+        meta = manifest["meta"]
+        killed = np.asarray(meta["assignment"]) == 1
+        # The respawned worker's sub-filters saved their bumped generations.
+        assert np.asarray(meta["filter_tags"])[killed].tolist() == [1, 1]
 
         with mk() as pf2:
             pf2.load_checkpoint(path)
@@ -174,17 +180,86 @@ class TestMultiprocessGoldenTrace:
             tail = drive(pf2, meas, start=cut)
         np.testing.assert_array_equal(np.vstack([head, tail]), golden)
 
-    def test_worker_count_mismatch_rejected(self, transport, tmp_path):
-        model, meas = lg_model(), measurements(3)
-        path = str(tmp_path / "run.ckpt")
+    def test_worker_count_mismatch_rejected_while_healed_out(self, transport,
+                                                             tmp_path):
+        # A healed-out sub-filter has no state to re-deal, so a resume onto
+        # a different worker count is refused; the same count still loads.
+        model, meas = lg_model(), measurements(4)
+        path = str(tmp_path / "degraded.ckpt")
         with MultiprocessDistributedParticleFilter(
-                model, cfg(), n_workers=2, transport=transport) as pf:
+                model, cfg(), n_workers=4, transport=transport,
+                fault_plan=FaultPlan(seed=0).kill(worker=1, step=1),
+                on_failure="heal", recv_timeout=30.0) as pf:
             drive(pf, meas)
+            assert pf.dead_workers == (1,)
             pf.save_checkpoint(path)
         with MultiprocessDistributedParticleFilter(
-                model, cfg(), n_workers=4, transport=transport) as pf2:
-            with pytest.raises(CheckpointError, match="workers"):
+                model, cfg(), n_workers=2, transport=transport,
+                on_failure="heal") as pf2:
+            with pytest.raises(CheckpointError, match="2 sub-filters are healed out"):
                 pf2.load_checkpoint(path)
+
+
+class TestOlderSchemas:
+    """Checkpoints written before every multiprocess run drew per-filter."""
+
+    @staticmethod
+    def _rewrite_manifest(path, edit):
+        with zipfile.ZipFile(path) as zf:
+            members = {n: zf.read(n) for n in zf.namelist()}
+        manifest = json.loads(members[MANIFEST_MEMBER])
+        edit(manifest)
+        members[MANIFEST_MEMBER] = json.dumps(manifest).encode()
+        with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
+            for name, blob in members.items():
+                zf.writestr(name, blob)
+
+    @staticmethod
+    def _downgrade_to_v3(manifest):
+        # v3 multiprocess meta: no assignment or per-filter tags, no
+        # rng_streams in the config record, and one stream state per worker.
+        manifest["schema_version"] = 3
+        meta = manifest["meta"]
+        for key in ("assignment", "filter_tags"):
+            del meta[key]
+        del meta["config"]["rng_streams"]
+        root = make_rng(meta["config"]["rng"], meta["config"]["seed"])
+        meta["worker_rng"] = {w: root.spawn(1000 + int(w)).state_dict()
+                              for w in meta["worker_rng"]}
+
+    def test_v3_multiprocess_checkpoint_rejected_before_restore(self, tmp_path):
+        path = str(tmp_path / "v3.ckpt")
+        with MultiprocessDistributedParticleFilter(
+                lg_model(), cfg(), n_workers=2) as pf:
+            drive(pf, measurements(3))
+            pf.save_checkpoint(path)
+        self._rewrite_manifest(path, self._downgrade_to_v3)
+        pf2 = MultiprocessDistributedParticleFilter(lg_model(), cfg(), n_workers=2)
+        try:
+            with pytest.raises(CheckpointError, match="per-worker RNG streams"):
+                pf2.load_checkpoint(path)
+            assert not pf2._started  # refused before any worker saw a restore
+        finally:
+            pf2.close()
+
+    def test_solo_checkpoint_with_worker_stream_record_loads(self, tmp_path):
+        # Solo checkpoints written while "worker" was the default carry it
+        # in their config record; single-process filters never read it.
+        model, meas, cut = lg_model(), measurements(8), 4
+        golden = drive(DistributedParticleFilter(model, cfg()), meas)
+        pf = DistributedParticleFilter(model, cfg())
+        head = drive(pf, meas[:cut])
+        path = str(tmp_path / "solo.ckpt")
+        pf.save_checkpoint(path)
+
+        def as_worker_mode(manifest):
+            manifest["meta"]["config"]["rng_streams"] = "worker"
+
+        self._rewrite_manifest(path, as_worker_mode)
+        pf2 = DistributedParticleFilter(model, cfg())
+        pf2.load_checkpoint(path)
+        tail = drive(pf2, meas, start=cut)
+        np.testing.assert_array_equal(np.vstack([head, tail]), golden)
 
 
 class TestTransportFailurePaths:

@@ -1,10 +1,10 @@
 """Shard parity: N shards over any transport == one process, bit for bit.
 
-The contract the whole shard layer hangs on: with ``rng_streams="filter"``
-every sub-filter consumes its own private stream in a partition-invariant
-order, the shard-aware exchange packs exactly the particles the dense
-exchange would have routed, and the global estimate is reduced from
-per-filter partials that do not depend on which worker computed them.
+The contract the whole shard layer hangs on: every sub-filter consumes its
+own private stream in a partition-invariant order, the shard-aware
+exchange packs exactly the particles the dense exchange would have routed,
+and the global estimate is reduced from per-filter partials that do not
+depend on which worker computed them.
 Consequently the estimates, final populations, log-weights, and adaptive
 widths of a sharded run are **bitwise identical** to the single-process
 golden trace — including across transports, with the cut-only exchange on
@@ -20,7 +20,6 @@ from repro.core import DistributedFilterConfig
 from repro.models import LinearGaussianModel
 from repro.prng import make_rng
 from repro.resilience import FaultPlan
-from repro.resilience.checkpoint import CheckpointError
 from repro.topology import make_shard_plan, resolve_topology
 
 
@@ -179,25 +178,9 @@ class TestRebalanceChaosParity:
 
 
 class TestGuards:
-    def test_elastic_resume_requires_filter_streams(self, tmp_path):
-        meas = lg_model().simulate(4, make_rng("numpy", seed=9)).measurements
-        path = str(tmp_path / "legacy.ckpt")
-        config = cfg(rng_streams="worker")
-        with MultiprocessDistributedParticleFilter(
-                lg_model(), config, n_workers=2) as pf:
-            for z in meas:
-                pf.step(z)
-            pf.save_checkpoint(path)
-        with MultiprocessDistributedParticleFilter(
-                lg_model(), config, n_workers=4) as pf:
-            with pytest.raises(CheckpointError, match="rng_streams"):
-                pf.load_checkpoint(path)
-
-    def test_rebalance_requires_filter_streams(self):
-        with pytest.raises(ValueError, match="rng_streams"):
-            MultiprocessDistributedParticleFilter(
-                lg_model(), cfg(rng_streams="worker"), n_workers=2,
-                on_failure="heal", rebalance_dead=True)
+    def test_worker_stream_mode_removed(self):
+        with pytest.raises(ValueError, match="rng_streams='worker' was removed"):
+            DistributedFilterConfig(rng_streams="worker")
 
     def test_rebalance_excludes_respawn(self):
         with pytest.raises(ValueError, match="respawn"):

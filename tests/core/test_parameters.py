@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, strategies as st
 
 from repro.core import (
     CentralizedFilterConfig,
@@ -9,6 +10,19 @@ from repro.core import (
     DEFAULT_GPU_CONFIG,
     DistributedFilterConfig,
 )
+from repro.core.parameters import distributed_config_from_dict, distributed_config_to_dict
+
+#: every string-enum field of DistributedFilterConfig and its accepted values.
+ENUM_FIELDS = {
+    "rng_streams": ("filter",),
+    "exchange_select": ("best", "sample"),
+    "selection": ("sort", "max"),
+    "estimator": ("max_weight", "weighted_mean"),
+    "resample_policy": ("always", "ess", "frequency"),
+    "allocation": ("fixed", "ess", "mass"),
+    "execution": ("reference", "compiled"),
+    "dtype_policy": ("mixed", "float32", "float64"),
+}
 
 
 def test_table2_gpu_defaults():
@@ -68,3 +82,15 @@ def test_configs_are_frozen():
     cfg = DistributedFilterConfig()
     with pytest.raises(Exception):
         cfg.n_particles = 3
+
+
+@given(field=st.sampled_from(sorted(ENUM_FIELDS)), value=st.text())
+@example(field="rng_streams", value="worker")
+def test_enum_field_rejects_any_other_text(field, value):
+    assume(value not in ENUM_FIELDS[field])
+    with pytest.raises(ValueError, match=field):
+        DistributedFilterConfig(**{field: value})
+    record = distributed_config_to_dict(DistributedFilterConfig())
+    record[field] = value
+    with pytest.raises(ValueError, match=field):
+        distributed_config_from_dict(record)

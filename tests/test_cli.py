@@ -149,6 +149,14 @@ class TestBadArguments:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "--steps" in err
 
+    def test_corrupt_checkpoint_is_an_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(b"not a zip archive")
+        assert main(["run", "--steps", "4", "--resume", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
     def test_unknown_transport_is_an_error(self, capsys):
         assert main(["chaos", "--transport", "carrier-pigeon"]) == 2
         err = capsys.readouterr().err
@@ -184,6 +192,23 @@ class TestRunCLI:
         rc = main(["run", "--backend", "pipe", "--steps", "8", "--resume", ckpt])
         assert rc == 0
         assert "steps 4..7" in capsys.readouterr().out
+
+    def test_resume_on_a_different_worker_count_matches_uninterrupted(
+            self, tmp_path, capsys):
+        # Every sub-filter owns its RNG stream, so a 2-worker checkpoint
+        # resumes on 4 workers and ends on the uninterrupted estimate.
+        assert main(["run", "--backend", "pipe", "--steps", "12"]) == 0
+        golden = capsys.readouterr().out.strip().splitlines()[-1]
+        ckpt = str(tmp_path / "mp.ckpt")
+        assert main(["run", "--backend", "pipe", "--steps", "6",
+                     "--checkpoint", ckpt]) == 0
+        capsys.readouterr()
+        assert main(["run", "--backend", "pipe", "--workers", "4",
+                     "--steps", "12", "--resume", ckpt]) == 0
+        out = capsys.readouterr().out.strip().splitlines()
+        assert "steps 6..11" in out[-1]
+        assert (out[-1].split("final estimate")[-1]
+                == golden.split("final estimate")[-1])
 
 
 class TestChaosCLI:
