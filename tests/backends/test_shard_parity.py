@@ -12,6 +12,9 @@ or off, and through a kill → rebalance → checkpoint → elastic-resume chaos
 history.
 """
 
+import json
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,7 @@ from repro.core import DistributedFilterConfig
 from repro.models import LinearGaussianModel
 from repro.prng import make_rng
 from repro.resilience import FaultPlan
+from repro.resilience.checkpoint import MANIFEST_MEMBER, CheckpointError
 from repro.topology import make_shard_plan, resolve_topology
 
 
@@ -177,10 +181,46 @@ class TestRebalanceChaosParity:
         np.testing.assert_array_equal(ests, full[0][7:])
 
 
+def give_checkpoint_worker_streams(path):
+    """Rewrite a multiprocess checkpoint as one stream per worker (schema v3)."""
+    with zipfile.ZipFile(path) as zf:
+        members = {n: zf.read(n) for n in zf.namelist()}
+    manifest = json.loads(members[MANIFEST_MEMBER])
+    manifest["schema_version"] = 3
+    meta = manifest["meta"]
+    root = make_rng(meta["config"]["rng"], meta["config"]["seed"])
+    meta["worker_rng"] = {w: root.spawn(1000 + int(w)).state_dict()
+                          for w in meta["worker_rng"]}
+    members[MANIFEST_MEMBER] = json.dumps(manifest).encode()
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
+        for name, blob in members.items():
+            zf.writestr(name, blob)
+
+
 class TestGuards:
     def test_worker_stream_mode_removed(self):
         with pytest.raises(ValueError, match="rng_streams='worker' was removed"):
             DistributedFilterConfig(rng_streams="worker")
+
+    def test_elastic_resume_requires_filter_streams(self, tmp_path):
+        meas = lg_model().simulate(4, make_rng("numpy", seed=9)).measurements
+        path = str(tmp_path / "legacy.ckpt")
+        with MultiprocessDistributedParticleFilter(
+                lg_model(), cfg(), n_workers=2) as pf:
+            for z in meas:
+                pf.step(z)
+            pf.save_checkpoint(path)
+        give_checkpoint_worker_streams(path)
+        with MultiprocessDistributedParticleFilter(
+                lg_model(), cfg(), n_workers=4) as pf:
+            with pytest.raises(CheckpointError, match="per-worker RNG streams"):
+                pf.load_checkpoint(path)
+
+    def test_rebalance_requires_filter_streams(self):
+        with pytest.raises(ValueError, match="rng_streams"):
+            MultiprocessDistributedParticleFilter(
+                lg_model(), cfg(rng_streams="worker"), n_workers=2,
+                on_failure="heal", rebalance_dead=True)
 
     def test_rebalance_excludes_respawn(self):
         with pytest.raises(ValueError, match="respawn"):
