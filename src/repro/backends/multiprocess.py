@@ -9,10 +9,10 @@ worker process, and each round runs as
 1. master -> workers: measurement + control (*scatter*),
 2. workers: sample, weight, sort locally; reply with their sub-filters' top-t
    particles and, for a weighted mean, local-estimate partials (*gather*),
-3. master: routes exchanged particles along the global topology, reduces the
-   global estimate,
-4. master -> workers: each block's incoming particles; workers pool and
-   resample locally.
+3. master: packs the particles that cross a shard boundary (pairwise
+   topologies) or the global top-t (pooled), reduces the global estimate,
+4. master -> workers: each block's incoming particles; workers fill their
+   intra-shard neighbour slots themselves, pool and resample locally.
 
 Exactly the mpi4py communication pattern (scatter/gather + point-to-point
 boundary exchange), built on ``multiprocessing`` pipes so it runs anywhere.
@@ -25,13 +25,16 @@ keeps the per-round payloads in preallocated double-buffered shared-memory
 slabs and ships only tiny headers). Independently of the transport, the
 master's gather is a poll-driven event loop over all live workers
 (:func:`multiprocessing.connection.wait`): replies are consumed in arrival
-order, and for pairwise topologies a block's phase-2 routing is dispatched
-as soon as the blocks it routes *from* have reported — overlapping the
-master's exchange routing with still-running workers. The routing table is
-frozen at round start so results are bit-identical regardless of arrival
-order (a block that dies mid-round keeps its ``-inf`` placeholders for the
-current round — harmless at the resampler — and is healed out of the table
-from the next round on).
+order, and for pairwise topologies a block's phase-2 pack is dispatched as
+soon as the blocks it reads *from* have reported — overlapping the master's
+exchange routing with still-running workers. Pairwise phase 2 always takes
+the cut-edge form: only wire slots (sources on another worker, plus masked
+placeholders) leave the master; a worker holding no neighbours on other
+shards receives an empty pack, and dense exchange is simply a full cut.
+The routing table is frozen at round start so results are bit-identical
+regardless of arrival order (a block that dies mid-round keeps its ``-inf``
+placeholders for the current round — harmless at the resampler — and is
+healed out of the table from the next round on).
 
 Fault tolerance
 ---------------
@@ -41,9 +44,12 @@ loop's poll windows, liveness checks on the process, remote tracebacks as
 structured ``("error", tb)`` replies), reroutes the exchange topology around
 the dead sub-filters with a :class:`~repro.resilience.TopologyHealer`, drops
 the dead block's partials from the estimate reduction, and — when
-``respawn_dead=True`` — respawns the block by cloning particles from the
-nearest surviving topological neighbours (the exchange primitive reused as
-a recovery primitive), with fresh transport slabs. A dead worker's shared
+``respawn_dead`` or ``rebalance_dead`` is set — recovers the block with one
+routine: the dead sub-filters are cloned from their nearest surviving
+topological neighbours (the exchange primitive reused as a recovery
+primitive) and delivered with a ``grow`` message, either to a fresh process
+in the dead worker's slot (respawn: it starts empty, with fresh transport
+slabs) or dealt over the survivors (rebalance). A dead worker's shared
 segments are reclaimed (closed *and* unlinked) immediately and counted in
 ``ResilienceReport.segments_reclaimed``. ``on_failure="raise"`` instead
 surfaces a typed :class:`~repro.resilience.WorkerTimeoutError` /
@@ -122,7 +128,7 @@ from repro.resilience.retry import RetryPolicy
 from repro.resilience.supervisor import HeartbeatHook, Supervisor
 from repro.telemetry.tracer import Tracer, spans_from_wire, spans_to_wire
 from repro.topology import resolve_topology, shard_table_view
-from repro.utils.arrays import healthy_round, sanitize_log_weights, take_into
+from repro.utils.arrays import healthy_round, sanitize_log_weights
 from repro.utils.validation import check_positive_int
 
 
@@ -153,21 +159,21 @@ def _worker_loop(chan, model, config, ids, worker_id,
     *sub-filter*, not the worker, and results are invariant to how
     sub-filters shard over processes.
 
-    Beyond the classic message kinds, three support the shard-aware
-    topology: ``("shard", payload)`` installs a
-    :class:`~repro.topology.ShardView` (one-way; no reply), ``("phase2c",
-    t, packed_s, packed_w)`` runs phase 2 from cut-edge particles only
-    (local slots are filled from the worker's own post-sort buffers,
-    bit-identical to the dense route), and ``("grow", ...)`` merges adopted
-    sub-filters into the local population mid-run (elastic rebalancing).
+    Message kinds: ``init``, ``phase1``, ``phase2`` (pooled or no-exchange
+    rounds), ``phase2c`` (pairwise rounds: the master ships only the wire
+    slots of a cut-edge pack; the worker fills its intra-shard slots from
+    the particles it sent in phase 1, corrupted copy included), ``shard``
+    (installs the :class:`~repro.topology.ShardView` saying which slot is
+    which; one-way), ``grow`` (merges donor-cloned sub-filters — the one
+    recovery delivery, for a respawned worker that starts with none and for
+    a rebalanced survivor alike), ``snapshot``/``restore`` (population, full
+    RNG state, healing counters and widths: checkpoints, donor cloning and
+    ``gather_population``) and ``stop``.
 
     With ``heartbeat=True`` a :class:`HeartbeatHook` leads the hook list,
     publishing liveness at every stage boundary *from the compute thread* —
     deliberately not from a side thread, so a hang (injected or real) stops
-    the beats exactly like a crash does. ``snapshot``/``restore`` messages
-    serve the checkpoint layer: the reply/restore payload carries the
-    block's population, the RNG's full internal state, and the self-healing
-    counters — everything that determines the block's future draws.
+    the beats exactly like a crash does.
     """
     ids = np.sort(np.asarray(ids, dtype=np.int64))
     inner = FilterStripedRNG(config.rng, config.seed, ids, tags=tags)
@@ -188,6 +194,7 @@ def _worker_loop(chan, model, config, ids, worker_id,
     dtype, wdt = rnd.dtype, rnd.dtype_policy.weight
     F = int(ids.size)
     shard_view = None
+    sent = None  # this round's (states, logw) top-t, as shipped in phase 1
     m_cap = allocation_capacity(config)
     adaptive = m_cap != config.n_particles
     local_pipeline = StepPipeline(
@@ -195,15 +202,6 @@ def _worker_loop(chan, model, config, ids, worker_id,
     )
     resample_pipeline = StepPipeline([ResampleStage()], hooks=rnd.hooks)
     reported_errors = 0
-
-    def _reset(new_states, new_logw, widths):
-        """Replace the block's population with shipped (F, m_cap) arrays."""
-        state.reset(
-            np.ascontiguousarray(new_states, dtype=dtype).reshape(
-                F, m_cap, model.state_dim),
-            np.asarray(new_logw, dtype=wdt).reshape(F, m_cap).copy(),
-            widths=widths,
-        )
 
     def _finish_phase2(recv_states, recv_logw):
         """Pool incoming particles, resample, reply with round telemetry."""
@@ -253,10 +251,6 @@ def _worker_loop(chan, model, config, ids, worker_id,
                     # the same draw under any partition, which is what shard
                     # parity pins.
                     rnd.initialize(rows=F, per_filter=True)
-                    chan.send(("ok",))
-                elif kind == "adopt":
-                    # Respawn path: start from particles cloned off a donor.
-                    _reset(*msg[1:])
                     chan.send(("ok",))
                 elif kind == "phase1":
                     _, z, u, k, t, trace, new_widths = msg
@@ -312,7 +306,8 @@ def _worker_loop(chan, model, config, ids, worker_id,
                         # comparable — the master concatenates all blocks'
                         # rows and softmaxes once.
                         alloc = (subfilter_ess(logw), row_logsumexp(logw))
-                    chan.reply_phase1(k, send_states, logw[:, :tp], states[:, 0],
+                    sent = (send_states, logw[:, :tp])
+                    chan.reply_phase1(k, send_states, sent[1], states[:, 0],
                                       logw[:, 0], partial, dict(heal_hook.last_round),
                                       alloc)
                 elif kind == "phase2":
@@ -326,32 +321,31 @@ def _worker_loop(chan, model, config, ids, worker_id,
                     shard_view = msg[1]
                 elif kind == "phase2c":
                     # Cut-edge phase 2: the master shipped only the wire
-                    # slots; local slots are filled from this worker's own
-                    # post-sort buffers. The reconstructed receive table is
-                    # bit-identical to the dense route's.
+                    # slots; intra-shard slots are filled from the particles
+                    # this worker sent in phase 1 (the copy a FaultPlan
+                    # corrupts), so the receive table is exactly the one a
+                    # dense route over the gathered tops would build.
                     _, t2, packed_s, packed_w = msg
                     if shard_view is None:
                         raise RuntimeError("phase2c before any shard view")
                     _vids, D, li, lj, lsrc, wi, wj, _wvalid = shard_view
-                    if D == 0 or t2 == 0:
-                        _finish_phase2(None, None)
-                    else:
-                        rs = np.empty((F, D, t2, model.state_dim),
-                                      dtype=state.states.dtype)
-                        rw = np.empty((F, D, t2), dtype=wdt)
-                        if li.size:
-                            rs[li, lj] = state.states[lsrc, :t2]
-                            rw[li, lj] = state.log_weights[lsrc, :t2]
-                        if wi.size:
-                            rs[wi, wj] = packed_s
-                            rw[wi, wj] = packed_w
-                        _finish_phase2(rs.reshape(F, D * t2, model.state_dim),
-                                       rw.reshape(F, D * t2))
+                    rs = state.scratch("exch.recv_states",
+                                       (F, D, t2, model.state_dim), dtype)
+                    rw = state.scratch("exch.recv_logw", (F, D, t2), wdt)
+                    if li.size:
+                        rs[li, lj] = sent[0][lsrc, :t2]
+                        rw[li, lj] = sent[1][lsrc, :t2]
+                    if wi.size:
+                        rs[wi, wj] = packed_s
+                        rw[wi, wj] = packed_w
+                    _finish_phase2(rs.reshape(F, D * t2, model.state_dim),
+                                   rw.reshape(F, D * t2))
                 elif kind == "grow":
-                    # Elastic rebalance: merge adopted sub-filters (donor
-                    # clones, uniform weights) into the local population,
-                    # keeping global-id-ascending row order, and give each
-                    # adopted id a fresh generation-tagged RNG stream.
+                    # Recovery: merge donor-cloned sub-filters (uniform
+                    # weights) into the local population — a respawned
+                    # worker starts with none — keeping global-id-ascending
+                    # row order, and give each grown id a fresh
+                    # generation-tagged RNG stream.
                     _, new_ids, g_states, g_logw, g_widths, g_tags = msg
                     new_ids = np.asarray(new_ids, dtype=np.int64)
                     merged = np.concatenate([ids, new_ids])
@@ -359,16 +353,19 @@ def _worker_loop(chan, model, config, ids, worker_id,
                     n_new = int(new_ids.size)
                     ns = np.empty((F + n_new, m_cap, model.state_dim), dtype=dtype)
                     lw = np.empty((F + n_new, m_cap), dtype=wdt)
-                    ns[:F] = state.states
+                    if F:
+                        ns[:F] = state.states
+                        lw[:F] = state.log_weights
                     ns[F:] = np.ascontiguousarray(g_states, dtype=dtype).reshape(
                         n_new, m_cap, model.state_dim)
-                    lw[:F] = state.log_weights
                     lw[F:] = np.asarray(g_logw, dtype=wdt).reshape(n_new, m_cap)
                     new_widths = None
-                    if state.widths is not None:
+                    if g_widths is not None:
+                        # An empty worker has no widths yet: the clones'
+                        # widths are the whole vector.
+                        own = state.widths if F else np.empty(0, dtype=np.int64)
                         new_widths = np.concatenate(
-                            [state.widths,
-                             np.asarray(g_widths, dtype=np.int64)])[order]
+                            [own, np.asarray(g_widths, dtype=np.int64)])[order]
                     k_saved = state.k
                     heal_saved = dict(state.heal_counters)
                     state.reset(np.ascontiguousarray(ns[order]),
@@ -380,20 +377,22 @@ def _worker_loop(chan, model, config, ids, worker_id,
                     inner.adopt(new_ids, [int(x) for x in g_tags])
                     shard_view = None  # stale coordinates after the merge
                     chan.send(("ok",))
-                elif kind == "get_state":
-                    chan.send((state.states, state.log_weights))
                 elif kind == "snapshot":
-                    # Checkpoint capture: population + the exact RNG state +
-                    # healing counters (+ live widths under adaptive
-                    # allocation). Tagged so a gather that had to abort a
-                    # round can tell snapshots from stale round replies.
+                    # Population + the exact RNG state + healing counters
+                    # (+ live widths under adaptive allocation). Tagged so a
+                    # gather that had to abort a round can tell snapshots
+                    # from stale round replies.
                     chan.send(("snap", state.states, state.log_weights,
                                rng.state_dict(),
                                {k: int(v) for k, v in state.heal_counters.items()},
                                None if state.widths is None else state.widths.copy()))
                 elif kind == "restore":
                     _, new_states, new_logw, k, rng_state, heal_counters, widths = msg
-                    _reset(new_states, new_logw, widths)
+                    state.reset(
+                        np.ascontiguousarray(new_states, dtype=dtype).reshape(
+                            F, m_cap, model.state_dim),
+                        np.asarray(new_logw, dtype=wdt).reshape(F, m_cap).copy(),
+                        widths=widths)
                     state.k = int(k)
                     # Merge over reset()'s defaults: an elastic restore sends
                     # no counters (they are shard-local aggregates) and must
@@ -446,8 +445,13 @@ class MultiprocessDistributedParticleFilter:
         reduction, and keep filtering with the survivors.
     respawn_dead:
         with ``on_failure="heal"``, respawn dead blocks at the end of the
-        round from particles cloned off the nearest live topological
-        neighbours (with fresh transport slabs).
+        round: a fresh process (with fresh transport slabs) grows the dead
+        block from particles cloned off the nearest live topological
+        neighbours.
+    rebalance_dead:
+        with ``on_failure="heal"`` and an elastic transport, deal a dead
+        block's sub-filters over the survivors instead, each growing its
+        share from the same donor clones. Exclusive with ``respawn_dead``.
     fault_plan:
         optional :class:`~repro.resilience.FaultPlan` injected into every
         worker for reproducible chaos testing.
@@ -469,7 +473,6 @@ class MultiprocessDistributedParticleFilter:
                  recv_timeout: float | None = 30.0,
                  max_retries: int = 3, on_failure: str = "raise",
                  respawn_dead: bool = False, rebalance_dead: bool = False,
-                 shard_exchange: str = "auto",
                  fault_plan: FaultPlan | None = None,
                  heal_bridge: bool = True, supervisor: Supervisor | None = None):
         check_positive_int(n_workers, "n_workers")
@@ -481,25 +484,6 @@ class MultiprocessDistributedParticleFilter:
         self.config = config
         self.n_workers = n_workers
         self.transport = make_transport(transport)
-        caps = self.transport.caps
-        if shard_exchange not in ("auto", "on", "off"):
-            raise ValueError(
-                f"shard_exchange must be 'auto', 'on' or 'off', "
-                f"got {shard_exchange!r}")
-        if shard_exchange == "on" and not caps.framed:
-            raise ValueError(
-                f"shard_exchange='on' needs a framed transport "
-                f"(transport {self.transport.name!r} moves payloads through "
-                f"fixed-size slabs)")
-        #: cut-edge exchange: ship only the particles that actually cross a
-        #: shard boundary. ``auto`` turns it on for cross-host transports
-        #: (where wire bytes are the cost that matters) and leaves local
-        #: transports on the dense route; results are bitwise identical
-        #: either way.
-        self.shard_exchange = shard_exchange
-        self._shard_exchange_on = (
-            shard_exchange == "on"
-            or (shard_exchange == "auto" and caps.cross_host))
         if rebalance_dead:
             if respawn_dead:
                 raise ValueError(
@@ -507,7 +491,7 @@ class MultiprocessDistributedParticleFilter:
                     "strategies; pick one")
             if on_failure != "heal":
                 raise ValueError("rebalance_dead requires on_failure='heal'")
-            if not caps.elastic:
+            if not self.transport.caps.elastic:
                 raise ValueError(
                     f"rebalance_dead needs an elastic (framed) transport, "
                     f"not {self.transport.name!r}")
@@ -552,9 +536,8 @@ class MultiprocessDistributedParticleFilter:
         #: group membership: worker statuses + the filter→worker shard
         #: assignment, with an epoch that invalidates cached shard views.
         self.membership = Membership(config.n_filters, n_workers)
-        #: per-sub-filter RNG generation tags: bumped when a sub-filter is
-        #: re-seeded by respawn or rebalance adoption, so a replacement
-        #: stream never replays the original.
+        #: per-sub-filter RNG generation tags: bumped when recovery re-seeds
+        #: a sub-filter, so a replacement stream never replays the original.
         self._filter_tags = np.zeros(config.n_filters, dtype=np.int64)
         self._block = config.n_filters // n_workers
         #: cached per-worker ShardViews + the (membership, topology) epoch
@@ -562,7 +545,7 @@ class MultiprocessDistributedParticleFilter:
         self._shard_views: dict[int, object] = {}
         self._shard_sync: dict[int, tuple] = {}
         self._topo_epoch = 0
-        #: serialized cut-edge payload bytes/particles (shard exchange).
+        #: cut-edge payload bytes/particles packed for pairwise phase 2.
         self.shard_cut_bytes = 0
         self.shard_cut_particles = 0
         #: cumulative transport byte counters (transports that meter them).
@@ -570,14 +553,21 @@ class MultiprocessDistributedParticleFilter:
         self._started = False
         self._scratch_pool: dict[str, np.ndarray] = {}
         self.last_estimate: np.ndarray | None = None
-        # Slab capacities for the shared-memory transport, sized exactly to
-        # the unhealed topology so the routed width fills the slab slot
-        # end-to-end (a full-width slice is contiguous, letting the master
-        # gather straight into the slab). A healed topology whose table grows
-        # wider (torus bridging) transparently falls back to the inline pipe
-        # path for the affected rounds, so this is a fast path, not a limit.
+        # Slab capacities for the shared-memory transport, sized to the
+        # unhealed topology: a pooled round's (B, t) rows, or the widest
+        # block's cut-edge pack of n_wire * t particles. A healed topology
+        # whose blocks gain wire slots (torus bridging) transparently falls
+        # back to the inline pipe path for the affected rounds, so this is a
+        # fast path, not a limit.
         t_cap = max(config.n_exchange, 1)
-        recv_cap = t_cap if self.topology.pooled else self._table.shape[1] * t_cap
+        if self.topology.pooled:
+            recv_cap = t_cap
+        else:
+            owner = self.membership.owner_of()
+            n_wire = max(shard_table_view(w, self._owned(w), owner, self._table,
+                                          self._mask).n_wire_slots
+                         for w in range(n_workers))
+            recv_cap = -(-n_wire * t_cap // self._block)
         # Slab field sizes derive from the resolved dtype policy: the wire
         # format is exactly the in-memory format, so a float32 policy halves
         # the per-round particle/weight payload end to end.
@@ -599,10 +589,11 @@ class MultiprocessDistributedParticleFilter:
     def _live_workers(self) -> list[int]:
         return self.membership.live_workers()
 
-    def _spawn_worker(self, w: int) -> None:
+    def _spawn_worker(self, w: int, ids=None) -> None:
+        """Start worker *w* owning *ids* (default: its current shard)."""
         ctx = mp.get_context("fork")
         master_chan, worker_chan = self.transport.channel_pair(ctx, self._layout)
-        ids = self._owned(w).copy()
+        ids = self._owned(w).copy() if ids is None else ids
         p = ctx.Process(
             target=_worker_loop,
             args=(worker_chan, self.model, self.config, ids, w, self.fault_plan,
@@ -697,14 +688,12 @@ class MultiprocessDistributedParticleFilter:
                 f"worker {w} pipe failed on send: {e}", worker_id=w, step=self.k
             ) from e
 
-    def _recv(self, w: int, what: str = "reply"):
-        """Receive one reply from one worker (control-plane paths).
-
-        Same deadline/liveness/backoff semantics as :meth:`_gather`, for
-        the serial handshakes (init, adopt, get_state, restore).
-        """
-        out = self._gather([w], what=what, handle_failures=False)
-        return out[w]
+    def _request(self, w: int, msg, what: str, accept=None):
+        """Send *msg* to worker *w* and wait for its one reply, with the
+        deadline/liveness/backoff semantics of :meth:`_gather`."""
+        self._send(w, msg)
+        return self._gather([w], what=what, handle_failures=False,
+                            accept=accept)[w]
 
     def _gather(self, workers, what: str, handler=None, handle_failures=True,
                 accept=None):
@@ -923,8 +912,6 @@ class MultiprocessDistributedParticleFilter:
         out["dead_filters"] = list(self._healer.dead)
         out["membership"] = self.membership.summary()
         out["shard"] = {
-            "exchange": self.shard_exchange,
-            "exchange_on": self._shard_exchange_on,
             "cut_bytes": int(self.shard_cut_bytes),
             "cut_particles": int(self.shard_cut_particles),
         }
@@ -1010,6 +997,10 @@ class MultiprocessDistributedParticleFilter:
         # block w can be routed once every block its table rows read from has
         # reported. Pooled topologies need the global pool -> gather barrier.
         owner = self.membership.owner_of()
+        # Shard views are cached per (membership, topology) epoch; a worker
+        # that dies mid-round bumps the epoch, but this round still routes
+        # with the table frozen above — so views are keyed on *its* epoch.
+        route = ((self.membership.epoch, self._topo_epoch), owner, table, mask)
         deps: dict[int, set[int]] | None
         if not exchange_on:
             deps = {w: set() for w in range(self.n_workers)}
@@ -1049,11 +1040,8 @@ class MultiprocessDistributedParticleFilter:
                     if self._chans[w].send_phase2(
                             self.k, pooled_route[0][ids], pooled_route[1][ids]):
                         self._count_fallbacks(1)
-                elif self._shard_exchange_on:
-                    self._route_block_shard(w, t, send_states, send_logw,
-                                            owner, table, mask)
                 else:
-                    self._route_block(w, t, send_states, send_logw, table, mask)
+                    self._route_cut(w, t, send_states, send_logw, route)
                 p2_sent.append(w)
             except (BrokenPipeError, OSError) as e:
                 self._handle_failure(w, WorkerCrashedError(
@@ -1158,10 +1146,8 @@ class MultiprocessDistributedParticleFilter:
                 and alloc_seen >= set(self._live_workers())):
             self._allocate_round(alloc_ess, alloc_lse, tracing)
 
-        if self.rebalance_dead and self.dead_workers:
-            self._rebalance_dead_workers()
-        elif self.respawn_dead and self.dead_workers:
-            self._respawn_dead_workers()
+        if (self.respawn_dead or self.rebalance_dead) and self.dead_workers:
+            self._recover_dead_workers()
         if self.transport.caps.byte_counters:
             sent = recv = 0
             for w in self._live_workers():
@@ -1199,66 +1185,17 @@ class MultiprocessDistributedParticleFilter:
             offset = recv_clock - float(telem["clock"])
             self.tracer.merge(spans_from_wire(rows, offset), label=f"worker-{w}")
 
-    def _route_block(self, w: int, t: int, send_states, send_logw, table, mask) -> None:
-        """Pairwise-route one block's rows, preferably straight into its slab.
-
-        Equivalent to slicing ``route_pairwise(...)[lo:hi]`` but gathers only
-        this block's rows — and when the transport exposes shared phase-2
-        buffers, the gather writes directly into the worker's recv slab
-        (zero-copy: no intermediate array, no pickle).
-        """
-        ids = self._owned(w)
-        rows = table[ids]
-        rmask = mask[ids]
-        B, D = rows.shape
-        d = send_states.shape[2]
-        width = D * t
-        start = time.perf_counter()
-        chan = self._chans[w]
-        bufs = chan.phase2_buffers(self.k, width)
-        # The gather needs C-contiguous destinations (np.take's out=); slab
-        # slices narrower than the preallocated capacity are strided, so
-        # those stage through master scratch and finish with one memcpy into
-        # the slab — still no pickle on the payload.
-        direct = (bufs is not None
-                  and bufs[0].flags.c_contiguous and bufs[1].flags.c_contiguous)
-        if direct:
-            out_s, out_w = bufs
-        else:
-            out_s = self._scratch(f"recv_states.{w}", (B, width, d), send_states.dtype)
-            out_w = self._scratch(f"recv_logw.{w}", (B, width), send_logw.dtype)
-        src = np.maximum(rows, 0)
-        take_into(send_states[:, :t], src, out_s.reshape(B, D, t, d), axis=0)
-        take_into(send_logw[:, :t], src, out_w.reshape(B, D, t), axis=0)
-        out_w.reshape(B, D, t)[~rmask] = -np.inf
-        elapsed = time.perf_counter() - start
-        self.kernel_seconds["route_pairwise"] = (
-            self.kernel_seconds.get("route_pairwise", 0.0) + elapsed)
-        self.timer.seconds["exchange"] = self.timer.seconds.get("exchange", 0.0) + elapsed
-        if self.tracer.enabled:
-            self.tracer.add("exchange", "stage", start, start + elapsed,
-                            attrs={"kernel": "route_pairwise", "block": w,
-                                   "width": width, "direct": direct})
-        if direct:
-            chan.send_phase2_ready(self.k, width)
-        elif bufs is not None:
-            bufs[0][...] = out_s
-            bufs[1][...] = out_w
-            chan.send_phase2_ready(self.k, width)
-        else:
-            if chan.send_phase2(self.k, out_s, out_w):
-                self._count_fallbacks(1)
-
-    def _shard_view(self, w: int, owner, table, mask):
+    def _shard_view(self, w: int, route):
         """Worker *w*'s ShardView, recomputed and pushed when stale.
 
-        Staleness is keyed on ``(membership epoch, topology epoch)``: any
-        join/evict/rebalance or heal/revive invalidates every cached view.
-        The refreshed payload is pushed with a one-way ``("shard", ...)``
-        message; the framed transport's ordering guarantees the worker
-        installs it before the phase2c that relies on it.
+        *route* is the round's frozen ``(epoch, owner, table, mask)``.
+        Staleness is keyed on the ``(membership epoch, topology epoch)`` the
+        table was frozen at: any join/evict/rebalance or heal/revive
+        invalidates every cached view. The refreshed payload is pushed with
+        a one-way ``("shard", ...)`` message; the pipe's ordering guarantees
+        the worker installs it before the phase-2 pack that relies on it.
         """
-        epoch = (self.membership.epoch, self._topo_epoch)
+        epoch, owner, table, mask = route
         if self._shard_sync.get(w) != epoch:
             view = shard_table_view(w, self._owned(w), owner, table, mask)
             self._chans[w].request(("shard", view.wire_payload()))
@@ -1266,38 +1203,38 @@ class MultiprocessDistributedParticleFilter:
             self._shard_sync[w] = epoch
         return self._shard_views[w]
 
-    def _route_block_shard(self, w: int, t: int, send_states, send_logw,
-                           owner, table, mask) -> None:
-        """Cut-edge phase-2 dispatch: serialize only wire-slot particles.
+    def _route_cut(self, w: int, t: int, send_states, send_logw, route) -> None:
+        """Pairwise phase-2 dispatch: pack and send only wire-slot particles.
 
         Intra-shard slots never leave the master: the worker fills them from
-        its own post-sort buffers. Wire slots (out-of-shard sources plus
-        masked/dead placeholders) are packed here with exactly the values
-        the dense route would have gathered — including the row-0 filler and
+        the particles it sent in phase 1. Wire slots (out-of-shard sources
+        plus masked/dead placeholders) are packed here with exactly the
+        values a dense route would gather — including the row-0 filler and
         ``-inf`` log-weights for invalid slots — so the worker's pooled
         candidate set is bit-identical to an unsharded round.
         """
         start = time.perf_counter()
-        view = self._shard_view(w, owner, table, mask)
+        view = self._shard_view(w, route)
         src = np.maximum(view.wire_src, 0)
-        packed_s = np.ascontiguousarray(send_states[:, :t][src])
-        packed_w = send_logw[:, :t][src].copy()
+        packed_s = send_states[:, :t][src]
+        packed_w = send_logw[:, :t][src]
         packed_w[~view.wire_valid] = -np.inf
         nbytes = packed_s.nbytes + packed_w.nbytes
         self.shard_cut_bytes += nbytes
         self.shard_cut_particles += int(src.size) * t
         self.tracer.count("shard.cut_bytes", nbytes)
         elapsed = time.perf_counter() - start
-        self.kernel_seconds["route_shard"] = (
-            self.kernel_seconds.get("route_shard", 0.0) + elapsed)
+        self.kernel_seconds["route_pairwise"] = (
+            self.kernel_seconds.get("route_pairwise", 0.0) + elapsed)
         self.timer.seconds["exchange"] = (
             self.timer.seconds.get("exchange", 0.0) + elapsed)
         if self.tracer.enabled:
             self.tracer.add("exchange", "stage", start, start + elapsed,
-                            attrs={"kernel": "route_shard", "block": w,
+                            attrs={"kernel": "route_pairwise", "block": w,
                                    "wire_slots": int(src.size),
                                    "cut_bytes": nbytes})
-        self._chans[w].request(("phase2c", t, packed_s, packed_w))
+        if self._chans[w].send_phase2c(self.k, t, packed_s, packed_w):
+            self._count_fallbacks(1)
 
     def _route(self, kernel: str, *args):
         """Dispatch an exchange-routing kernel through the registry, timed."""
@@ -1394,54 +1331,85 @@ class MultiprocessDistributedParticleFilter:
         return int(self._widths.sum())
 
     # -- recovery ---------------------------------------------------------------
-    def _respawn_dead_workers(self) -> None:
-        """Respawn dead blocks from particles cloned off live donors.
+    def _recover_dead_workers(self) -> None:
+        """Bring dead blocks' sub-filters back: respawn or rebalance.
 
-        For each dead sub-filter the healer names the nearest live donor by
-        hop count on the original topology; the donor block's current
-        particles seed the replacement (uniform weights), the new process —
-        with freshly allocated transport slabs — adopts them, and the healed
-        topology restitches the revived ids.
+        One routine for both rungs, in four steps per dead worker:
+
+        1. plan the targets — a fresh process in the dead worker's slot
+           (respawn) or the least-loaded deal over the survivors
+           (:meth:`Membership.deal`, rebalance);
+        2. clone each sub-filter from its nearest live donor by hop count on
+           the original topology, against the ownership from before the
+           recovery: respawns read every donor before any block is revived;
+           a rebalance changes the survivors' layouts, so each dead
+           worker's deal re-reads its donors;
+        3. bump the sub-filters' generation tags, so a replacement stream
+           never replays its predecessor's draws;
+        4. deliver the clones with ``grow`` — a respawned process starts with
+           no sub-filters and grows the whole dead block.
+
+        The healed topology then restitches the revived ids. A block whose
+        donors are not all reachable this round is retried next round.
         """
-        donor_map = self._healer.donor_map()
-        owner_of = self.membership.live_owner_of()
-        state_cache: dict[int, tuple] = {}
+        donors = None
         for w in sorted(self.dead_workers):
-            ids = self._owned(w)
-            if ids.size == 0:
-                continue  # rebalanced away; nothing to respawn
-            new_states, new_logw, new_widths, ok = self._clone_from_donors(
-                ids, donor_map, owner_of, state_cache)
-            if not ok:
+            orphans = self._owned(w)
+            if orphans.size == 0:
+                continue  # rebalanced away; the worker just stays dead
+            plan = (self.membership.deal(w) if self.rebalance_dead
+                    else {w: orphans})
+            if donors is None or self.rebalance_dead:
+                donors = (self._healer.donor_map(),
+                          self.membership.live_owner_of(), {})
+            clones = {}
+            for target, ids in sorted(plan.items()):
+                clone = self._clone_from_donors(ids, *donors)
+                if clone is None:
+                    break
+                clones[target] = clone
+            if len(clones) < len(plan):
                 continue  # no live donor this round; try again next step
-            # Fresh per-filter generations: the replacement streams must
-            # never replay the dead worker's draws.
-            self._filter_tags[ids] += 1
-            self._spawn_worker(w)
-            try:
-                self._send(w, ("adopt", new_states, new_logw, new_widths))
-                self._recv(w, what="adopt")
-            except WorkerFailure as e:
-                self._handle_failure(w, e)
-                continue
-            self._healer.revive(ids)
+            if self.rebalance_dead:
+                self.membership.rebalance(w, self.k)
+            else:
+                self._spawn_worker(w, ids=np.empty(0, dtype=np.int64))
             self._topo_epoch += 1
-            self.report.respawns += 1
-            self.report.record_escalation("respawn")
-            self.tracer.count("escalation.respawn")
+            grown = 0
+            for target, ids in sorted(plan.items()):
+                self._filter_tags[ids] += 1
+                try:
+                    self._request(target, ("grow", ids, *clones[target],
+                                           self._filter_tags[ids].tolist()), "grow")
+                except WorkerFailure as e:
+                    self._handle_failure(target, e)
+                    continue
+                self._healer.revive(ids)
+                self._topo_epoch += 1
+                grown += 1
+            if self.rebalance_dead:
+                rung = "rebalance"
+                detail = f"{int(orphans.size)} filters over {len(plan)} survivors"
+            elif grown:
+                rung = "respawn"
+                self.report.respawns += 1
+                detail = f"filter_tags={self._filter_tags[orphans].tolist()}"
+            else:
+                continue
+            self.report.record_escalation(rung)
+            self.tracer.count(f"escalation.{rung}")
             if self.supervisor is not None:
-                self.supervisor.escalate(
-                    "respawn", w, self.k,
-                    detail=f"filter_tags={self._filter_tags[ids].tolist()}")
+                self.supervisor.escalate(rung, w, self.k, detail=detail)
 
     def _clone_from_donors(self, ids: np.ndarray, donor_map: dict,
-                           owner_of: np.ndarray, state_cache: dict):
-        """Donor-cloned ``(states, logw, widths, ok)`` for the given ids.
+                           owner_of: np.ndarray, snaps: dict):
+        """Donor-cloned ``(states, logw, widths)`` for the given ids.
 
         For each sub-filter the healer names the nearest live donor by hop
         count on the original topology; the donor's current particles seed
-        the replacement at uniform weights. ``ok=False`` when any id lacks
-        a reachable live donor (the caller retries next round).
+        the replacement at uniform weights. Donor blocks are snapshotted
+        once into *snaps*. ``None`` when any id lacks a reachable live
+        donor (the caller retries next round).
         """
         B = int(ids.size)
         new_states = np.empty((B, self._capacity, self.model.state_dim),
@@ -1459,90 +1427,22 @@ class MultiprocessDistributedParticleFilter:
             donor = donor_map.get(int(f))
             owner = None if donor is None else int(owner_of[donor])
             if owner is None or owner < 0 or not self.membership.is_live(owner):
-                return None, None, None, False
-            if owner not in state_cache:
+                return None
+            if owner not in snaps:
                 try:
-                    self._send(owner, ("get_state",))
-                    state_cache[owner] = (self._recv(owner, what="get_state"),
-                                          self._owned(owner).copy())
+                    snaps[owner] = (self._snapshot(owner)[0],
+                                    self._owned(owner).copy())
                 except WorkerFailure as e:
                     self._handle_failure(owner, e)
-                    return None, None, None, False
-            (donor_states, _), donor_ids = state_cache[owner]
+                    return None
+            donor_states, donor_ids = snaps[owner]
             new_states[i] = donor_states[int(np.searchsorted(donor_ids, donor))]
-        return new_states, new_logw, new_widths, True
-
-    def _rebalance_dead_workers(self) -> None:
-        """Deal a dead shard's sub-filters to the survivors, mid-run.
-
-        The leader-driven last rung before checkpoint-and-abort: instead of
-        respawning a replacement process, the dead worker's sub-filters are
-        redistributed (deterministically — ascending id to the least-loaded
-        survivor) and each survivor *grows* its local population with donor
-        clones. The adopted sub-filters bring their own fresh
-        generation-tagged streams with them, so the survivors' existing
-        draws are untouched and the post-rebalance run is a pure function
-        of the failure history.
-        """
-        for w in sorted(self.dead_workers):
-            orphans = self._owned(w)
-            if orphans.size == 0:
-                continue  # already rebalanced; the worker just stays dead
-            donor_map = self._healer.donor_map()
-            owner_of = self.membership.live_owner_of()
-            # Donor rows are looked up against pre-grow ownership, so all
-            # donor state is fetched before any survivor's layout changes.
-            state_cache: dict[int, tuple] = {}
-            clones: dict[int, tuple] = {}
-            ok = True
-            moves_plan = {s: ids for s, ids in
-                          self._plan_rebalance(w).items() if ids.size}
-            for s, ids in sorted(moves_plan.items()):
-                cs, cl, cw, ok = self._clone_from_donors(
-                    ids, donor_map, owner_of, state_cache)
-                if not ok:
-                    break
-                clones[s] = (cs, cl, cw)
-            if not ok:
-                continue  # no donors yet; retry next round
-            moves = self.membership.rebalance(w, self.k)
-            self._topo_epoch += 1
-            for s in sorted(moves):
-                ids = moves[s]
-                self._filter_tags[ids] += 1
-                cs, cl, cw = clones[s]
-                tags = [int(x) for x in self._filter_tags[ids]]
-                try:
-                    self._send(s, ("grow", ids, cs, cl, cw, tags))
-                    self._recv(s, what="grow")
-                except WorkerFailure as e:
-                    self._handle_failure(s, e)
-                    continue
-                self._healer.revive(ids)
-                self._topo_epoch += 1
-            self.report.record_escalation("rebalance")
-            self.tracer.count("escalation.rebalance")
-            if self.supervisor is not None:
-                self.supervisor.escalate(
-                    "rebalance", w, self.k,
-                    detail=f"{int(orphans.size)} filters over "
-                           f"{len(moves)} survivors")
-
-    def _plan_rebalance(self, dead_worker: int) -> dict[int, np.ndarray]:
-        """Dry-run of :meth:`Membership.rebalance` (same deterministic deal)."""
-        orphans = self._owned(dead_worker)
-        live = self._live_workers()
-        loads = {s: int(self._owned(s).size) for s in live}
-        out: dict[int, list[int]] = {s: [] for s in live}
-        for f in orphans.tolist():
-            s = min(live, key=lambda x: (loads[x], x))
-            out[s].append(f)
-            loads[s] += 1
-        return {s: np.asarray(ids, dtype=np.int64) for s, ids in out.items()}
+        return new_states, new_logw, new_widths
 
     # -- checkpoint / restore ---------------------------------------------------
     def _collect_snapshots(self, strict: bool = True) -> dict[int, tuple]:
-        """``{worker: (states, logw, rng_state, heal_counters)}`` from live blocks.
+        """``{worker: (states, logw, rng_state, heal_counters, widths)}`` from
+        live blocks.
 
         Snapshot replies are tagged ``("snap", ...)`` and gathered with an
         accept filter, so stale replies of an aborted round queued ahead of
@@ -1551,21 +1451,22 @@ class MultiprocessDistributedParticleFilter:
         be complete); non-strict skips it (checkpoint-on-abort saves
         whatever survives).
         """
-        def is_snap(msg):
-            return (isinstance(msg, tuple) and msg
-                    and isinstance(msg[0], str) and msg[0] == "snap")
-
         snaps: dict[int, tuple] = {}
         for w in self._live_workers():
             try:
-                self._send(w, ("snapshot",))
-                out = self._gather([w], what="snapshot", handle_failures=False,
-                                   accept=is_snap)
-                snaps[w] = out[w][1:]
+                snaps[w] = self._snapshot(w)
             except WorkerFailure:
                 if strict:
                     raise
         return snaps
+
+    def _snapshot(self, w: int) -> tuple:
+        """Worker *w*'s ``(states, logw, rng_state, heal_counters, widths)``."""
+        def is_snap(msg):
+            return (isinstance(msg, tuple) and msg
+                    and isinstance(msg[0], str) and msg[0] == "snap")
+
+        return self._request(w, ("snapshot",), "snapshot", accept=is_snap)[1:]
 
     def save_checkpoint(self, path: str, *, boundary: bool = True) -> dict | None:
         """Atomically write a resumable snapshot of the whole run to *path*.
@@ -1806,10 +1707,7 @@ class MultiprocessDistributedParticleFilter:
                          np.nan, dtype=self.dtype_policy.state)
         logw = np.full((cfg.n_filters, self._capacity), np.nan,
                        dtype=self.dtype_policy.weight)
-        for w in self._live_workers():
-            self._send(w, ("get_state",))
-        for w in self._live_workers():
+        for w, (s, lw, *_) in self._collect_snapshots().items():
             ids = self._owned(w)
-            s, l = self._recv(w, what="get_state")
-            states[ids], logw[ids] = s, l
+            states[ids], logw[ids] = s, lw
         return states, logw

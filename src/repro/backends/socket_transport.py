@@ -216,50 +216,28 @@ class SocketWorkerChannel(PipeWorkerChannel):
 
     The channel object is built in the master process (pre-fork) but holds
     only the address; the actual ``connect`` happens in the worker child on
-    first use, so the socket is owned by exactly one process.
+    first use of :attr:`conn`, so the socket is owned by exactly one
+    process. Every pipe-channel method then runs unchanged over the frames.
     """
 
     def __init__(self, address: tuple[str, int], connect_timeout: float = 30.0):
         self._address = address
         self._connect_timeout = float(connect_timeout)
-        self.conn: FrameConnection | None = None
+        self._conn: FrameConnection | None = None
         self._beats = 0
 
-    def _ensure(self) -> FrameConnection:
-        if self.conn is None:
+    @property
+    def conn(self) -> FrameConnection:
+        if self._conn is None:
             sock = socket.create_connection(
                 self._address, timeout=self._connect_timeout)
             sock.settimeout(None)
-            self.conn = FrameConnection(sock)
-        return self.conn
-
-    def beat(self, code: int = 0) -> None:
-        self._beats += 1
-        try:
-            self._ensure().send(("beat", self._beats, int(code)))
-        except (OSError, ValueError, EOFError):  # pragma: no cover
-            pass
-
-    def recv(self):
-        return self._ensure().recv()
-
-    def send(self, obj) -> None:
-        self._ensure().send(obj)
-
-    def reply_phase1(self, k, send_states, send_logw, best_states,
-                     best_logw, partial, heal_stats, alloc=None) -> None:
-        self._ensure()
-        super().reply_phase1(k, send_states, send_logw, best_states,
-                             best_logw, partial, heal_stats, alloc)
-
-    def reply_phase2(self, stage_seconds, kernel_seconds,
-                     telemetry=None) -> None:
-        self._ensure()
-        super().reply_phase2(stage_seconds, kernel_seconds, telemetry)
+            self._conn = FrameConnection(sock)
+        return self._conn
 
     def close(self) -> None:
-        if self.conn is not None:
-            self.conn.close()
+        if self._conn is not None:
+            self._conn.close()
 
 
 class SocketTransport:
@@ -272,8 +250,7 @@ class SocketTransport:
     """
 
     name = "tcp"
-    caps = TransportCaps(zero_copy=False, framed=True, cross_host=True,
-                         byte_counters=True)
+    caps = TransportCaps(zero_copy=False, framed=True, byte_counters=True)
 
     def __init__(self, host: str = "127.0.0.1",
                  handshake: RetryPolicy | None = None):

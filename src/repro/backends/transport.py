@@ -23,6 +23,12 @@ lockstep of the backend guarantees. Headers are:
 - master → worker  ``("phase1", k, t, seq, z_spec, u_spec, trace, widths?)``
 - worker → master  ``("p1", k, seq, heal_stats)``  (payload in the slab)
 - master → worker  ``("phase2s", k, width)``        (payload in the slab)
+- master → worker  ``("phase2cs", k, t, n_wire)``   (packed in the slab)
+
+A pairwise round's cut-edge pack — the ``(n_wire, t, d)`` particles of a
+block's wire slots — fills the front of the slab's ``recv`` fields (pipe:
+one ``("phase2c", t, states, logw)`` message); pooled and no-exchange
+rounds keep the ``phase2`` form.
 
 ``widths?`` is a flag (shm) or an inline int64 vector (pipe): under adaptive
 allocation the master scatters each block's per-sub-filter live widths with
@@ -37,13 +43,13 @@ records stage/kernel spans for the round, and ships them — with its clock
 reading for offset alignment — in the phase-2 reply.
 
 Payloads that do not fit their slab (an oversized measurement, or a healed
-topology whose routed width exceeds the preallocated capacity) transparently
+topology whose cut-edge pack outgrows the preallocated capacity) transparently
 fall back to the inline pickle form of the pipe transport, so correctness
 never depends on the capacity estimate. Every such fallback is counted on
 the master channel (``fallbacks``) and surfaces as the backend's
-``transport_fallbacks`` telemetry counter. Rare control messages (``init``,
-``adopt``, ``get_state``, ``stop``) and structured ``("error", traceback)``
-replies always travel inline on the pipe.
+``transport_fallbacks`` telemetry counter. Control messages (``init``,
+``shard``, ``grow``, ``snapshot``, ``restore``, ``stop``) and structured
+``("error", traceback)`` replies always travel inline on the pipe.
 
 Failure / reclaim semantics
 ---------------------------
@@ -77,10 +83,8 @@ class TransportCaps:
       than being serialized per round.
     - ``framed``: payloads are serialized frames whose shapes may change
       round to round — a prerequisite for elastic ownership (a worker's
-      sub-filter count growing mid-run) and for shard-aware cut-only
-      exchange, neither of which fits a fixed-size slab.
-    - ``cross_host``: the wire could, in principle, span machines (the
-      channel is address-based, not fd-inheritance-based).
+      sub-filter count growing mid-run), which a fixed-size slab cannot
+      hold.
     - ``byte_counters``: the channel counts bytes on the wire
       (``bytes_sent`` / ``bytes_received`` on ``chan.conn``), feeding the
       cut-edge byte telemetry.
@@ -88,7 +92,6 @@ class TransportCaps:
 
     zero_copy: bool = False
     framed: bool = True
-    cross_host: bool = False
     byte_counters: bool = False
 
     @property
@@ -123,8 +126,9 @@ class SlabLayout:
     t_cap:
         top-t send capacity per sub-filter (``max(n_exchange, 1)``).
     recv_cap:
-        incoming-particle capacity per sub-filter. Sized with healing slack
-        for pairwise topologies; routed widths beyond it fall back to the
+        incoming-particle capacity per sub-filter (pooled rounds), and
+        ``n_block * recv_cap`` packed particles for a cut-edge round. Sized
+        to the unhealed topology; payloads beyond it fall back to the
         inline pipe path.
     meas_cap / ctrl_cap:
         float64 element capacity of the scatter slots.
@@ -167,7 +171,8 @@ class SlabLayout:
             ("mass_lse", (B,), f64),
             # per-sub-filter live widths (master → worker; fixed: unused)
             ("widths", (B,), np.dtype(np.int64)),
-            # routed exchange (master → worker)
+            # routed exchange (master → worker): pooled (B, width) rows, or
+            # the cut-edge pack's (n_wire * t) particles from the front
             ("recv_states", (B, self.recv_cap, d), self.dtype),
             ("recv_logw", (B, self.recv_cap), wdt),
             # scatter (master → worker)
@@ -265,12 +270,12 @@ class PipeMasterChannel:
         return msg
 
     # -- phase 2 -------------------------------------------------------------
-    def phase2_buffers(self, k: int, width: int):
-        """Writable routing destination, or ``None`` (pipe: route to scratch)."""
-        return None
-
-    def send_phase2_ready(self, k: int, width: int) -> None:  # pragma: no cover
-        raise RuntimeError("pipe transport has no shared phase-2 buffers")
+    def send_phase2c(self, k: int, t: int, states, logw) -> bool:
+        """Deliver a cut-edge pack of ``(n_wire, t, d)`` wire-slot particles
+        and ``(n_wire, t)`` log-weights; returns True iff the send fell back
+        from a shared slab to the inline form (never, for the pipe)."""
+        self.conn.send(("phase2c", t, states, logw))
+        return False
 
     def send_phase2(self, k: int, states, logw) -> bool:
         """Deliver the routed particles; returns True iff this send had to
@@ -317,7 +322,7 @@ class PipeWorkerChannel:
         self._beats += 1
         try:
             self.conn.send(("beat", self._beats, int(code)))
-        except (OSError, ValueError, BrokenPipeError):  # pragma: no cover
+        except (OSError, ValueError, EOFError):  # pragma: no cover
             pass
 
     def recv(self):
@@ -347,7 +352,7 @@ class PipeTransport:
     """Pickle-over-pipe data plane (the reference transport)."""
 
     name = "pipe"
-    caps = TransportCaps(zero_copy=False, framed=True, cross_host=False)
+    caps = TransportCaps(zero_copy=False, framed=True)
 
     def channel_pair(self, ctx, layout: SlabLayout):
         parent, child = ctx.Pipe()
@@ -456,32 +461,37 @@ class ShmMasterChannel:
                 (v["ess"], v["mass_lse"]))
 
     # -- phase 2 -------------------------------------------------------------
-    def phase2_buffers(self, k: int, width: int):
-        """Zero-copy routing destination when *width* fits the slab."""
-        if width > self.layout.recv_cap:
-            return None
+    def send_phase2c(self, k: int, t: int, states, logw) -> bool:
+        """Write a cut-edge pack into the slab's ``recv`` fields, then send
+        its header; True iff it outgrew the slab and went inline."""
+        n = states.shape[0] * t
         v = self._views[k & 1]
-        return v["recv_states"][:, :width], v["recv_logw"][:, :width]
-
-    def send_phase2_ready(self, k: int, width: int) -> None:
-        self.conn.send(("phase2s", k, width))
+        slab_s = v["recv_states"].reshape(-1, self.layout.state_dim)
+        if n > slab_s.shape[0]:
+            # A healed, wider table outgrew the preallocated capacity.
+            self.fallbacks += 1
+            self.conn.send(("phase2c", t, states, logw))
+            return True
+        slab_s[:n] = states.reshape(n, -1)
+        v["recv_logw"].reshape(-1)[:n] = logw.reshape(-1)
+        self.conn.send(("phase2cs", k, t, states.shape[0]))
+        return False
 
     def send_phase2(self, k: int, states, logw) -> bool:
         """Deliver the routed particles; True iff the slab was bypassed."""
         if states is None:
             self.conn.send(("phase2s", k, 0))
             return False
-        bufs = self.phase2_buffers(k, states.shape[1])
-        if bufs is None:
-            # Healed topology grew past the preallocated capacity: fall back
-            # to the inline pipe form for this round.
+        width = states.shape[1]
+        if width > self.layout.recv_cap:
             self.fallbacks += 1
             self.conn.send(("phase2", np.ascontiguousarray(states),
                             np.ascontiguousarray(logw)))
             return True
-        bufs[0][...] = states
-        bufs[1][...] = logw
-        self.send_phase2_ready(k, states.shape[1])
+        v = self._views[k & 1]
+        v["recv_states"][:, :width] = states
+        v["recv_logw"][:, :width] = logw
+        self.conn.send(("phase2s", k, width))
         return False
 
     def decode_phase2(self, msg) -> tuple[dict, dict, dict | None]:
@@ -575,6 +585,13 @@ class ShmWorkerChannel:
             v = self._views[k & 1]
             return ("phase2", v["recv_states"][:, :width],
                     v["recv_logw"][:, :width])
+        if kind == "phase2cs":
+            _, k, t, n_wire = msg
+            v = self._views[k & 1]
+            n, d = n_wire * t, self.layout.state_dim
+            return ("phase2c", t,
+                    v["recv_states"].reshape(-1, d)[:n].reshape(n_wire, t, d),
+                    v["recv_logw"].reshape(-1)[:n].reshape(n_wire, t))
         return msg
 
     def send(self, obj) -> None:
@@ -619,7 +636,7 @@ class SharedMemoryTransport:
     """Zero-copy data plane over ``multiprocessing.shared_memory`` slabs."""
 
     name = "shm"
-    caps = TransportCaps(zero_copy=True, framed=False, cross_host=False)
+    caps = TransportCaps(zero_copy=True, framed=False)
 
     def channel_pair(self, ctx, layout: SlabLayout):
         master = ShmMasterChannel(ctx, layout)

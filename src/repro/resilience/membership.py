@@ -13,11 +13,11 @@ makes both first-class so the group can *change shape* mid-run:
   downstream consumers (shard routing tables, telemetry) use to invalidate
   cached views.
 
-:meth:`rebalance` implements the leader-driven ladder's last rung before
-checkpoint-and-abort: a dead worker's sub-filters are dealt one at a time,
-in ascending id order, to the live worker that currently owns the fewest
-(ties to the lowest worker id) — deterministic, so two masters replaying
-the same failure history compute the same assignment.
+:meth:`deal` plans and :meth:`rebalance` applies the leader-driven ladder's
+last rung before checkpoint-and-abort: a dead worker's sub-filters are dealt
+one at a time, in ascending id order, to the live worker that currently owns
+the fewest (ties to the lowest worker id) — deterministic, so two masters
+replaying the same failure history compute the same assignment.
 """
 
 from __future__ import annotations
@@ -129,37 +129,41 @@ class Membership:
         self._owned[worker] = np.sort(np.asarray(ids, dtype=np.int64))
         self.epoch += 1
 
-    def rebalance(self, dead_worker: int, step: int = -1) -> dict[int, np.ndarray]:
-        """Deal *dead_worker*'s sub-filters to the live workers.
+    def deal(self, dead_worker: int) -> dict[int, np.ndarray]:
+        """The deal :meth:`rebalance` applies, computed without applying it.
 
-        Returns ``{survivor: adopted_ids}`` (ascending ids per survivor).
-        Deterministic: ids are dealt in ascending order, each to the live
-        worker owning the fewest filters at that moment, ties to the lowest
-        worker id. The dead worker ends up owning nothing.
+        Returns ``{survivor: adopted_ids}`` for every survivor that gains
+        sub-filters (ascending ids per survivor). Deterministic: ids are
+        dealt in ascending order, each to the live worker owning the fewest
+        filters at that moment, ties to the lowest worker id.
         """
-        orphans = self._owned[dead_worker]
         live = self.live_workers()
         if not live:
             raise ValueError("rebalance needs at least one live worker")
         loads = {w: int(self._owned[w].size) for w in live}
         adopted: dict[int, list[int]] = {w: [] for w in live}
-        for f in orphans.tolist():
+        for f in self._owned[dead_worker].tolist():
             w = min(live, key=lambda w: (loads[w], w))
             adopted[w].append(f)
             loads[w] += 1
+        return {w: np.asarray(ids, dtype=np.int64)
+                for w, ids in adopted.items() if ids}
+
+    def rebalance(self, dead_worker: int, step: int = -1) -> dict[int, np.ndarray]:
+        """Move *dead_worker*'s sub-filters to the live workers per :meth:`deal`.
+
+        Returns the deal; the dead worker ends up owning nothing.
+        """
+        n_orphans = int(self._owned[dead_worker].size)
+        out = self.deal(dead_worker)
         self._owned[dead_worker] = np.empty(0, dtype=np.int64)
-        out: dict[int, np.ndarray] = {}
-        for w, ids in adopted.items():
-            if not ids:
-                continue
-            arr = np.asarray(ids, dtype=np.int64)
+        for w, arr in out.items():
             self._owned[w] = np.sort(np.concatenate([self._owned[w], arr]))
-            out[w] = arr
             self.record(step, w, "adopt",
                         f"{arr.size} filters from worker {dead_worker}")
         self.epoch += 1
         self.record(step, dead_worker, "rebalance",
-                    f"{orphans.size} filters redistributed over "
+                    f"{n_orphans} filters redistributed over "
                     f"{len(out)} survivors")
         return out
 

@@ -1,7 +1,7 @@
 """Reusable deadline / backoff / retry primitives for master↔worker paths.
 
 Every reply the master waits on — phase-1 gathers, phase-2 gathers, the
-init/adopt/get_state handshakes, checkpoint snapshots, the farewell on
+init/grow/restore handshakes, snapshots, the farewell on
 ``close()`` — shares the same waiting discipline: split a total reply
 deadline into exponentially growing poll windows, check process liveness at
 every window boundary, count windows that expire without a reply as

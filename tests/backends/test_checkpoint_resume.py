@@ -96,7 +96,7 @@ class TestSingleProcessGoldenTrace:
             pf.save_checkpoint(str(tmp_path / "run.ckpt"))
 
 
-@pytest.mark.parametrize("transport", ["pipe", "shm"])
+@pytest.mark.parametrize("transport", ["pipe", "shm", "tcp"])
 class TestMultiprocessGoldenTrace:
     def test_resume_is_bit_identical(self, transport, tmp_path):
         model, meas, cut = lg_model(), measurements(12), 6

@@ -7,9 +7,9 @@ and the global estimate is reduced from per-filter partials that do not
 depend on which worker computed them.
 Consequently the estimates, final populations, log-weights, and adaptive
 widths of a sharded run are **bitwise identical** to the single-process
-golden trace — including across transports, with the cut-only exchange on
-or off, and through a kill → rebalance → checkpoint → elastic-resume chaos
-history.
+golden trace — including across transports (each of which takes the
+cut-edge exchange for pairwise topologies), and through a kill → rebalance →
+checkpoint → elastic-resume chaos history.
 """
 
 import json
@@ -71,9 +71,9 @@ class TestShardInvariance:
                    for tr in ("tcp", "shm")}
             for tr, result in two.items():
                 assert_bitwise(golden, result, f"{est}/{tr}")
-            # The cut-only exchange actually engaged and metered its traffic.
+            # The cut-edge exchange actually engaged and metered its traffic.
             tcp = two["tcp"]
-            assert tcp[4]["shard"]["exchange_on"]
+            assert tcp[4]["shard"]["cut_particles"] > 0
             assert tcp[4]["shard"]["cut_bytes"] > 0
             assert tcp[4]["transport_bytes"]["sent"] > 0
 
@@ -87,14 +87,42 @@ class TestShardInvariance:
                                 transport=transport)
                     assert_bitwise(golden, other, f"{est}/{transport}/{w} workers")
 
-    def test_shard_exchange_on_equals_off_on_pipe(self):
+    def test_cut_edge_exchange_on_pipe_and_shm_matches_golden(self):
         meas = lg_model().simulate(10, make_rng("numpy", seed=3)).measurements
         for est in ESTIMATORS:
-            off = run(cfg(estimator=est), meas, n_workers=2, shard_exchange="off")
-            on = run(cfg(estimator=est), meas, n_workers=2, shard_exchange="on")
-            assert_bitwise(off, on, est)
-            assert not off[4]["shard"]["exchange_on"]
-            assert on[4]["shard"]["cut_particles"] > 0
+            golden = run(cfg(estimator=est), meas, n_workers=1)
+            for transport in ("pipe", "shm"):
+                two = run(cfg(estimator=est), meas, n_workers=2,
+                          transport=transport)
+                assert_bitwise(golden, two, f"{est}/{transport}")
+                assert two[4]["shard"]["cut_particles"] > 0
+
+    def test_exchange_corruption_is_transport_invariant(self):
+        # A FaultPlan corrupts only the particles a worker sends, and the
+        # intra-shard slots of the cut-edge exchange must carry that copy:
+        # every transport then pools the same corrupted candidates.
+        meas = lg_model().simulate(10, make_rng("numpy", seed=10)).measurements
+        plan = FaultPlan(seed=0).corrupt_exchange(worker=0, step=3, fraction=0.5)
+        results = {tr: run(cfg(n_particles=8), meas, n_workers=2, transport=tr,
+                           fault_plan=plan)
+                   for tr in ("pipe", "shm", "tcp")}
+        for tr in ("shm", "tcp"):
+            assert_bitwise(results["pipe"], results[tr], tr)
+        clean = run(cfg(n_particles=8), meas, n_workers=2)
+        assert not np.array_equal(clean[0], results["pipe"][0])  # it fired
+
+    def test_mid_round_death_heals_alike_on_every_transport(self):
+        # A worker killed during phase 1 dies after the round's table was
+        # frozen; the next round must route over the healed table on every
+        # transport, not over shard views cached from the frozen one.
+        meas = lg_model().simulate(10, make_rng("numpy", seed=11)).measurements
+        results = {tr: run(cfg(), meas, n_workers=4, transport=tr,
+                           fault_plan=FaultPlan(seed=0).kill(worker=1, step=2),
+                           on_failure="heal", recv_timeout=30.0)
+                   for tr in ("pipe", "shm", "tcp")}
+        for tr in ("shm", "tcp"):
+            assert_bitwise(results["pipe"], results[tr], tr)
+        assert results["pipe"][4]["dead_filters"] == [2, 3]
 
     def test_adaptive_allocation_shards_bitwise(self):
         meas = lg_model().simulate(12, make_rng("numpy", seed=4)).measurements
@@ -108,22 +136,27 @@ class TestShardInvariance:
 
     def test_cut_bytes_scale_with_cut_not_particles(self):
         meas = lg_model().simulate(6, make_rng("numpy", seed=5)).measurements
-        small = run(cfg(n_particles=16), meas, 2, shard_exchange="on")
-        big = run(cfg(n_particles=64), meas, 2, shard_exchange="on")
-        wide = run(cfg(n_filters=16), meas, 4, shard_exchange="on")
+        small = run(cfg(n_particles=16), meas, 2)
+        big = run(cfg(n_particles=64), meas, 2)
+        wide = run(cfg(n_filters=16), meas, 4)
         # 4x the particles, same cut -> same wire bytes.
         assert small[4]["shard"]["cut_bytes"] == big[4]["shard"]["cut_bytes"]
         # Twice the boundaries -> strictly more wire bytes.
         assert wide[4]["shard"]["cut_bytes"] > small[4]["shard"]["cut_bytes"]
-        # Every round moves exactly the bytes the plan predicts from the cut.
-        for result, n_filters, n_workers in ((small, 8, 2), (big, 8, 2),
-                                             (wide, 16, 4)):
-            plan = make_shard_plan(resolve_topology("ring", n_filters), n_workers)
-            per_round = plan.cut_bytes_per_round(
-                cfg().n_exchange, lg_model().state_dim,
-                state_itemsize=result[1].dtype.itemsize,
-                weight_itemsize=result[2].dtype.itemsize)
-            assert result[4]["shard"]["cut_bytes"] == per_round * len(meas)
+        # Every round moves exactly the bytes the plan predicts from the cut,
+        # through the pipe and through the shm slab alike.
+        for transport in ("pipe", "shm"):
+            for config, n_workers in ((cfg(n_particles=16), 2),
+                                      (cfg(n_particles=64), 2),
+                                      (cfg(n_filters=16), 4)):
+                result = run(config, meas, n_workers, transport=transport)
+                plan = make_shard_plan(
+                    resolve_topology("ring", config.n_filters), n_workers)
+                per_round = plan.cut_bytes_per_round(
+                    cfg().n_exchange, lg_model().state_dim,
+                    state_itemsize=result[1].dtype.itemsize,
+                    weight_itemsize=result[2].dtype.itemsize)
+                assert result[4]["shard"]["cut_bytes"] == per_round * len(meas)
 
 
 class TestRebalanceChaosParity:
@@ -227,14 +260,3 @@ class TestGuards:
             MultiprocessDistributedParticleFilter(
                 lg_model(), cfg(), n_workers=2, on_failure="heal",
                 rebalance_dead=True, respawn_dead=True)
-
-    def test_shard_exchange_on_needs_a_framed_transport(self):
-        with pytest.raises(ValueError, match="framed"):
-            MultiprocessDistributedParticleFilter(
-                lg_model(), cfg(), n_workers=2, transport="shm",
-                shard_exchange="on")
-
-    def test_unknown_shard_exchange_rejected(self):
-        with pytest.raises(ValueError, match="shard_exchange"):
-            MultiprocessDistributedParticleFilter(
-                lg_model(), cfg(), n_workers=2, shard_exchange="sometimes")

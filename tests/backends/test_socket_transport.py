@@ -147,7 +147,7 @@ class TestHandshake:
 
     def test_registry_and_caps(self):
         caps = transport_caps("tcp")
-        assert caps.cross_host and caps.framed and caps.byte_counters
+        assert caps.framed and caps.byte_counters
         assert not caps.zero_copy
         assert caps.elastic
         t = make_transport("socket")  # alias

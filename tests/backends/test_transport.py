@@ -160,26 +160,39 @@ class TestShmChannelRoundtrip:
     def test_phase2_oversize_falls_back_inline(self):
         master, worker, lay = self.make_pair(recv_cap=2)
         try:
-            width = 5  # > recv_cap: healed-topology growth
-            assert master.phase2_buffers(0, width) is None
-            states = np.ones((lay.n_block, width, lay.state_dim), dtype=lay.dtype)
-            logw = np.zeros((lay.n_block, width))
-            master.send_phase2(0, states, logw)
-            kind, s2, w2 = worker.recv()
-            assert kind == "phase2"
+            # A cut-edge pack wider than the slab's recv fields (healed
+            # topology growth): 3 wire slots x t=2 > n_block x recv_cap = 4.
+            t = 2
+            states = np.ones((3, t, lay.state_dim), dtype=lay.dtype)
+            logw = np.zeros((3, t))
+            assert master.send_phase2c(0, t, states, logw)
+            assert master.fallbacks == 1
+            kind, t2, s2, w2 = worker.recv()
+            assert kind == "phase2c" and t2 == t
             np.testing.assert_array_equal(s2, states)
+            np.testing.assert_array_equal(w2, logw)
         finally:
             master.close()
 
     def test_phase2_buffers_are_slab_views(self):
         master, worker, lay = self.make_pair()
         try:
-            bufs = master.phase2_buffers(0, lay.recv_cap)
-            assert bufs[0].flags.c_contiguous and bufs[1].flags.c_contiguous
-            bufs[0][...] = 3.0
-            master.send_phase2_ready(0, lay.recv_cap)
-            _, s2, _ = worker.recv()
-            assert (np.asarray(s2) == 3.0).all()  # same memory, no copy
+            # A cut-edge pack fills the front of the slab's recv fields and
+            # reaches the worker as views of that memory, not a copy.
+            t = 4
+            states = np.arange(3 * t * lay.state_dim, dtype=lay.dtype).reshape(
+                3, t, lay.state_dim)
+            logw = -np.arange(3 * t, dtype=np.float64).reshape(3, t)
+            assert not master.send_phase2c(1, t, states, logw)
+            assert master.fallbacks == 0
+            kind, t2, s2, w2 = worker.recv()
+            assert kind == "phase2c" and t2 == t
+            np.testing.assert_array_equal(s2, states)
+            np.testing.assert_array_equal(w2, logw)
+            slab = master._views[1]["recv_states"]
+            assert np.shares_memory(s2, slab)
+            slab.reshape(-1)[0] = 99.0
+            assert s2[0, 0, 0] == 99.0  # same memory, no copy
         finally:
             master.close()
 

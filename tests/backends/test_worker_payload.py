@@ -70,7 +70,7 @@ def run_worker(estimator, monkeypatch, rounds=2, trace=True):
         recv_states = rng.standard_normal((F, 2 * T, 1))
         recv_states[0, 0, 0] = np.nan
         script.append(("phase2", recv_states, np.zeros((F, 2 * T))))
-    script += [("get_state",), ("stop",)]
+    script += [("snapshot",), ("stop",)]
     chan = FakeChannel(script)
     multiprocess._worker_loop(chan, model, config, np.arange(F), worker_id=0)
     errors = [m for m in chan.sent if isinstance(m[0], str) and m[0] == "error"]
@@ -99,7 +99,7 @@ def test_worker_never_captures_allocation_metrics(estimator, monkeypatch):
 @pytest.mark.parametrize("estimator", ["weighted_mean", "max_weight"])
 def test_corrupt_received_particles_are_never_resampled(estimator, monkeypatch):
     chan = run_worker(estimator, monkeypatch)
-    states, logw = chan.sent[-2]
+    _, states, logw, *_ = chan.sent[-2]
     assert states.shape == (F, M, 1) and np.isfinite(states).all()
 
 
